@@ -21,9 +21,11 @@ the real socket protocol:
 * **shedding** — a saturated queue rejects fast, with a ``Retry-After``
   hint derived from live queue state, instead of growing an unbounded
   backlog.
-* **degraded** — with the pool forced down, the breaker opens and every
-  request is still answered from the Section-3 analytical model with
-  ``"degraded": true``.
+* **degraded** — a real pool fault (every shard overruns a 1 ms
+  ``shard_timeout``): the runner finishes each run inline, so the first
+  answers are exact; its degrade reports open the breaker, and every
+  later request is answered from the Section-3 analytical model with
+  ``"degraded": true``.  Every request is answered either way.
 
 Run standalone (``python benchmarks/bench_service.py [--quick]``) for
 the CI smoke run; the regenerated table lands in
@@ -36,13 +38,7 @@ import time
 
 from _common import emit, publish, run_config
 from repro.obs.metrics import metrics
-from repro.service import (
-    EvalService,
-    ServiceClient,
-    ServiceConfig,
-    TransientEvalError,
-)
-from repro.service.retry import RetryPolicy
+from repro.service import EvalService, ServiceClient, ServiceConfig
 from repro.sim.reporting import format_table
 
 NDIGITS = 4
@@ -65,7 +61,6 @@ def _service_config(cache_dir=None, **overrides):
         run_config=base,
         concurrency=4,
         limits=LIMITS,
-        retry=RetryPolicy(base=0.005, cap=0.02, budget=0.06, max_attempts=3),
         failure_threshold=3,
         reset_timeout=60.0,  # phases are short; no accidental half-open
         drain_timeout=5.0,
@@ -393,39 +388,38 @@ def phase_shedding(num_requests):
 
 
 def phase_degraded(num_requests):
-    """Pool forced down: the breaker opens, every request still answered."""
+    """A real pool fault: the breaker opens, every request still answered."""
     metrics().reset()
-
-    def broken_evaluator(req, token):
-        raise TransientEvalError("injected pool fault")
+    faulty = run_config(
+        ndigits=NDIGITS, jobs=2, shard_size=500, shard_timeout=0.001,
+        cache_dir=None,
+    )
 
     async def body(service):
         requests = [
-            ("montecarlo", {"samples": 100 + i, "depths": [4, 6]})
+            ("montecarlo", {"samples": 4000 + i, "depths": [4, 6]})
             for i in range(num_requests)
         ]
+        # two at a time, so the breaker opens mid-phase
         load = await _run_load(
-            service, num_clients=4, requests=requests, max_inflight=8,
+            service, num_clients=4, requests=requests, max_inflight=2,
         )
         load["breaker"] = service.breaker.state
         return load
 
     load = asyncio.run(
-        _with_service(_service_config(), broken_evaluator, body)
+        _with_service(_service_config(run_config=faulty), None, body)
     )
     degraded = [r for r in load["responses"] if r.get("degraded")]
     measures = {
         "answered": all(r["ok"] for r in load["responses"]),
-        "all_degraded": len(degraded) == num_requests,
         "breaker": load["breaker"],
-        "breaker_opened": metrics().snapshot()["counters"].get(
-            "service.breaker.opened", 0
-        ),
     }
     row = [
-        "degraded", f"{num_requests} w/ pool down",
-        f"{load['req_per_s']:.0f}", f"{load['p50'] * 1e3:.1f}",
+        "degraded", f"{num_requests} w/ shard timeouts",
+        f"{load['req_per_s']:.1f}", f"{load['p50'] * 1e3:.1f}",
         f"{load['p99'] * 1e3:.1f}",
+        f"{num_requests - len(degraded)} exact (inline), "
         f"{len(degraded)} analytical, breaker {load['breaker']}",
     ]
     return row, measures
@@ -439,7 +433,7 @@ def test_service_load_smoke(tmp_path):
     assert measures["coalesce_hits"] == 5
     assert measures["all_answered"]
     row, measures = phase_degraded(num_requests=4)
-    assert measures["answered"] and measures["all_degraded"]
+    assert measures["answered"]
     assert measures["breaker"] == "open"
 
 
@@ -554,9 +548,7 @@ def main(argv=None) -> int:
             and shedding["retry_after_positive"]):
         failures.append("shed responses missing a positive retry_after")
     if not degraded["answered"]:
-        failures.append("pool-down phase dropped requests")
-    if not degraded["all_degraded"]:
-        failures.append("pool-down answers not all marked degraded")
+        failures.append("pool-fault phase dropped requests")
     if degraded["breaker"] != "open":
         failures.append(
             f"breaker state {degraded['breaker']!r} (acceptance: open)"

@@ -22,8 +22,9 @@ Installed as ``repro-overclock`` (see ``pyproject.toml``), or run as
 ``serve``
     Long-running evaluation daemon: Monte-Carlo / sweep / synthesis
     requests over a JSON-lines TCP protocol, with admission control,
-    request coalescing, retries, a circuit breaker and analytical
-    graceful degradation (:mod:`repro.service`).
+    request coalescing, a circuit breaker fed by the runner's pool
+    degrade reports and analytical graceful degradation
+    (:mod:`repro.service`).
 ``filter``
     The Gaussian image-filter case study on one benchmark image
     (Fig. 6 / 7, Tables 1-2 style output).
@@ -690,8 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the evaluation daemon (JSON-lines over TCP)",
         description="Long-running evaluation service: Monte-Carlo, sweep "
                     "and synthesis requests over a JSON-lines protocol, "
-                    "with admission control, request coalescing, retries, "
-                    "a circuit breaker and analytical graceful "
+                    "with admission control, request coalescing, a "
+                    "circuit breaker that opens when the runner keeps "
+                    "losing its worker pool, and analytical graceful "
                     "degradation.",
     )
     p.add_argument("--host", default="127.0.0.1")

@@ -247,7 +247,7 @@ _TOP_COUNTERS = (
     ("coalesce hits", "service.coalesce_hits"),
     ("shed", "service.shed"),
     ("degraded", "service.degraded"),
-    ("retries", "service.retries"),
+    ("pool degrades", "pool.degraded"),
     ("progress frames", "service.progress_frames"),
     ("events published", "events.published"),
     ("events dropped", "events.dropped"),

@@ -35,7 +35,10 @@ hand-edited or otherwise undecodable entry is detected on read, moved
 into a ``quarantine/`` subdirectory (preserving the evidence), reported
 with a :class:`RuntimeWarning`, and treated as a miss — the caller
 recomputes and overwrites, so storage rot can cost time but never
-correctness and never a crash.
+correctness and never a crash.  A failed write (disk full, read-only,
+the directory replaced by a file) likewise warns, counts
+``cache.write_errors`` and leaves no ``*.tmp``: the entry is not
+stored, and the caller keeps its result.
 
 Besides full :class:`~repro.runners.results.Result` objects, the store
 also holds *raw* JSON payloads (:meth:`ResultCache.put_raw` /
@@ -103,7 +106,10 @@ class ResultCache:
 
     def __init__(self, cache_dir: os.PathLike) -> None:
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            pass  # gone bad since RunConfig checked it: reads miss, puts warn
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -190,12 +196,6 @@ class ResultCache:
         for name, dtype in array_fields.items():
             if name in data:
                 arrays[name] = np.asarray(data.pop(name), dtype=dtype)
-        if arrays:
-            self._atomic_write(
-                self._npz_path(key),
-                lambda fh: np.savez_compressed(fh, **arrays),
-                binary=True,
-            )
         meta = {
             "format": CACHE_FORMAT_VERSION,
             "kind": getattr(result, "kind", None),
@@ -203,11 +203,16 @@ class ResultCache:
             "key_components": jsonable(dict(key_components or {})),
             "result": jsonable(data),
         }
-        self._atomic_write(
-            self._json_path(key),
-            lambda fh: fh.write(json.dumps(meta, sort_keys=True, indent=1)),
-            binary=False,
-        )
+        try:
+            if arrays:
+                self._atomic_write(
+                    self._npz_path(key),
+                    lambda fh: np.savez_compressed(fh, **arrays),
+                    binary=True,
+                )
+            self._write_json(key, meta)
+        except OSError as exc:
+            self._write_error(key, exc)
 
     # ------------------------------------------------------ raw payloads
     def put_raw(self, key: str, payload: Mapping[str, Any]) -> None:
@@ -223,11 +228,10 @@ class ResultCache:
             "arrays": [],
             "payload": jsonable(dict(payload)),
         }
-        self._atomic_write(
-            self._json_path(key),
-            lambda fh: fh.write(json.dumps(meta, sort_keys=True, indent=1)),
-            binary=False,
-        )
+        try:
+            self._write_json(key, meta)
+        except OSError as exc:
+            self._write_error(key, exc)
 
     def get_raw(self, key: str) -> Optional[Dict[str, Any]]:
         """Load a raw payload stored by :meth:`put_raw`, or None on miss.
@@ -300,6 +304,29 @@ class ResultCache:
             "recomputing",
             RuntimeWarning,
             stacklevel=3,
+        )
+
+    def _write_error(self, key: str, exc: OSError) -> None:
+        """Report a failed store; the caller keeps its computed result."""
+        metrics().count("cache.write_errors")
+        current_tracer().event(
+            "cache.write_error",
+            key=key,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        warnings.warn(
+            f"result-cache entry {key} not stored "
+            f"({type(exc).__name__}: {exc})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    def _write_json(self, key: str, meta: Mapping[str, Any]) -> None:
+        """Commit an entry's JSON file (the entry's visibility point)."""
+        self._atomic_write(
+            self._json_path(key),
+            lambda fh: fh.write(json.dumps(meta, sort_keys=True, indent=1)),
+            binary=False,
         )
 
     def _atomic_write(self, path: Path, write_fn, binary: bool) -> None:

@@ -153,8 +153,16 @@ class RunConfig:
             )
 
     def with_(self, **changes: object) -> "RunConfig":
-        """A copy with the given fields replaced (the config is frozen)."""
-        return replace(self, **changes)
+        """A copy with the given fields replaced (the config is frozen).
+
+        A kept ``cache_dir`` is not checked again: if it went bad since,
+        that is a cache write fault for the cache to report.
+        """
+        if "cache_dir" in changes:
+            return replace(self, **changes)
+        copy = replace(self, cache_dir=None, **changes)
+        object.__setattr__(copy, "cache_dir", self.cache_dir)
+        return copy
 
     def describe(self) -> Dict[str, object]:
         """The fields that define *what* is computed (cache-key material).

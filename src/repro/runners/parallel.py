@@ -119,13 +119,18 @@ class CancelToken:
     The service layer holds the token on its side of the thread boundary
     and fires it when a request deadline expires; the runner checks it
     between inline shards and while polling pool futures.
+
+    It also carries the degrade report back up: a run that gives up on
+    its pool and finishes inline sets ``degrade_reason`` (as in
+    ``RunStats``), though the result the holder gets is exact.
     """
 
-    __slots__ = ("_event", "reason")
+    __slots__ = ("_event", "reason", "degrade_reason")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self.reason: Optional[str] = None
+        self.degrade_reason: Optional[str] = None
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Fire the token (idempotent; the first reason wins)."""
@@ -270,7 +275,8 @@ class ParallelRunner:
         abandoning any pool without waiting).  A cancel is not a pool
         failure — it records the ``pool.cancelled`` metric and sets
         ``stats.cancelled``, but never touches ``pool_failures`` /
-        ``retries`` / ``failure_reasons``.
+        ``retries`` / ``failure_reasons``.  A run that degrades to
+        inline execution sets the token's ``degrade_reason``.
     progress:
         Optional :class:`~repro.obs.events.ProgressReporter` fed from
         every shard lifecycle transition (``queued`` / ``started`` /
@@ -527,6 +533,8 @@ class ParallelRunner:
         if remaining:
             self.stats.degraded = True
             self.stats.degrade_reason = reason
+            if self.cancel_token is not None:
+                self.cancel_token.degrade_reason = reason
             metrics().count("pool.degraded")
             tracer.event(
                 "pool.degraded",

@@ -12,10 +12,11 @@ needs, one concern per module:
 * :mod:`repro.service.batch` — gather-window fusion of *compatible*
   non-identical requests into one union-grid evaluation, split back
   into bit-identical per-request responses.
-* :mod:`repro.service.retry` — decorrelated-jitter backoff under a
-  hard sleep budget.
 * :mod:`repro.service.breaker` — the circuit breaker over the worker
-  pool.
+  pool, fed by the runner's own degrade report (the
+  :class:`~repro.runners.parallel.ParallelRunner` owns pool faults:
+  it replaces, retries and falls back inline; the service retries
+  nothing itself).
 * :mod:`repro.service.degrade` — analytical (Section-3 model) answers
   while the pool is down, marked ``"degraded": true``.
 * :mod:`repro.service.daemon` — the asyncio JSON-lines server tying
@@ -34,7 +35,6 @@ from repro.service.coalesce import Coalescer
 from repro.service.daemon import (
     EvalService,
     ServiceConfig,
-    TransientEvalError,
     evaluate_request,
     run_service,
 )
@@ -47,7 +47,6 @@ from repro.service.requests import (
     batch_compatibility_key,
     parse_request,
 )
-from repro.service.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "AdmissionController",
@@ -61,7 +60,6 @@ __all__ = [
     "Coalescer",
     "EvalService",
     "ServiceConfig",
-    "TransientEvalError",
     "evaluate_request",
     "run_service",
     "degraded_answer",
@@ -71,6 +69,4 @@ __all__ = [
     "RequestError",
     "batch_compatibility_key",
     "parse_request",
-    "DEFAULT_RETRY_POLICY",
-    "RetryPolicy",
 ]

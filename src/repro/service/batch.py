@@ -47,7 +47,6 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tup
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_key
-from repro.service.degrade import degraded_answer
 from repro.service.requests import EvalRequest
 
 __all__ = [
@@ -182,16 +181,11 @@ def split_responses(
 
     * Success — each member gets its sliced payload under its own id,
       key, and cache entry (the fused run stored only the union grid).
-    * Degraded — each member gets its own analytical answer, same
-      reason, exactly as its solo run under an open breaker would.
-    * Error / deadline / cancelled / shed — the failure is copied per
+    * Error / deadline / cancelled — the failure is copied per
       member with the member's id; the texts are grid-independent, so
       these too match the solo spelling.
     """
     out: List[Dict[str, Any]] = []
-    if response.get("degraded"):
-        reason = response.get("degraded_reason", "degraded")
-        return [degraded_answer(member, reason) for member in members]
     if not response.get("ok") or "result" not in response:
         for member in members:
             failure = dict(response)

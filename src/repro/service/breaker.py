@@ -2,8 +2,9 @@
 
 Classic three-state breaker guarding the worker pool behind the service:
 
-* **closed** — requests evaluate normally; consecutive final failures
-  (after the retry policy is spent) accumulate.
+* **closed** — requests evaluate normally; consecutive pool failures
+  (evaluations the runner had to finish inline because its pool kept
+  failing) accumulate.
 * **open** — after ``failure_threshold`` consecutive failures the
   breaker trips: :meth:`CircuitBreaker.allow` answers False and the
   daemon routes requests to the analytical degraded path instead of
@@ -44,7 +45,7 @@ class CircuitBreaker:
     Parameters
     ----------
     failure_threshold:
-        Consecutive final failures that trip the breaker open.
+        Consecutive pool failures that trip the breaker open.
     reset_timeout:
         Cooldown in seconds before an open breaker admits probes.
     half_open_probes:
@@ -127,7 +128,7 @@ class CircuitBreaker:
                 current_tracer().event("breaker.close")
 
     def record_failure(self, reason: str = "") -> None:
-        """A request finally failed on the pool (retries spent)."""
+        """A request's pool failed (the runner degraded to inline)."""
         with self._lock:
             self.last_failure = reason or self.last_failure
             if self._state == HALF_OPEN:

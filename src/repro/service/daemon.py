@@ -9,12 +9,14 @@ request ``id`` for correlation).
 A request travels::
 
     parse -> cache short-circuit -> coalesce -> breaker -> admission
-          -> [micro-batch] -> retry(evaluate on warm worker, cancellable)
+          -> [micro-batch] -> evaluate (warm worker, cancellable)
           -> respond
 
 * **parse** (:mod:`repro.service.requests`) — strict validation; the
   normalized request carries the same content-addressed key the result
-  cache uses, plus a *compatibility* key for the micro-batcher.
+  cache uses, plus a *compatibility* key for the micro-batcher.  A line
+  longer than :data:`MAX_LINE_BYTES` is answered ``too_large`` and
+  skipped; the connection keeps serving.
 * **cache short-circuit** — a persistent-cache hit answers before the
   queue is ever consulted; a full queue cannot shed work the service
   already knows the answer to.
@@ -31,10 +33,14 @@ A request travels::
   only in their depth/step grid gather for a small window and fuse
   into one union-grid evaluation, split back into per-request
   responses bit-identical to their solo spelling.
-* **retry** (:mod:`repro.service.retry`) — transient pool failures are
-  retried under a jittered-backoff budget; a request ``deadline``
-  cancels the evaluation *inside* the pool via the runner's
-  :class:`~repro.runners.parallel.CancelToken`.
+* **evaluate** — one evaluator call per admitted evaluation; a request
+  ``deadline`` cancels it *inside* the pool via the runner's
+  :class:`~repro.runners.parallel.CancelToken`.  Pool faults belong to
+  the :class:`~repro.runners.parallel.ParallelRunner`, which retries
+  and, if the pool keeps failing, finishes the run inline (still
+  exact) and sets the token's ``degrade_reason``: the breaker's only
+  input.  Evaluation errors and missed deadlines leave the breaker
+  alone — the client picks the deadline.
 
 Evaluations run on a small resident :class:`~concurrent.futures.
 ThreadPoolExecutor` — the worker threads stay warm across requests, so
@@ -62,7 +68,6 @@ import json
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
@@ -85,23 +90,18 @@ from repro.service.requests import (
     RequestError,
     parse_request,
 )
-from repro.service.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "ServiceConfig",
     "EvalService",
-    "TransientEvalError",
     "evaluate_request",
     "run_service",
 ]
 
 
-class TransientEvalError(RuntimeError):
-    """A retryable evaluation failure (injectable in tests/benchmarks)."""
-
-
-#: exception types the retry policy treats as transient
-TRANSIENT_ERRORS = (TransientEvalError, BrokenProcessPool, OSError)
+#: longest request line the daemon reads (asyncio's default stream
+#: limit); a longer one is answered ``too_large`` and skipped
+MAX_LINE_BYTES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,6 @@ class ServiceConfig:
     total_limit: Optional[int] = None
     default_deadline: Optional[float] = None
     max_samples: int = 200_000
-    retry: RetryPolicy = DEFAULT_RETRY_POLICY
     failure_threshold: int = 3
     reset_timeout: float = 5.0
     half_open_probes: int = 1
@@ -198,12 +197,13 @@ def evaluate_request(
 
 
 class EvalService:
-    """One daemon instance: admission, dedup, breaker, retry, lifecycle.
+    """One daemon instance: admission, dedup, breaker, lifecycle.
 
-    ``evaluator`` is injectable (tests and the load benchmark swap in
-    fault-injected ones); it must be a callable ``(EvalRequest,
-    CancelToken) -> dict`` and may run for a while — it is always
-    invoked on the executor, never on the event loop.
+    ``evaluator`` is injectable (tests and benchmarks wrap
+    :func:`evaluate_request` to count or trace calls); it must be a
+    callable ``(EvalRequest, CancelToken) -> dict`` and may run for a
+    while — it is always invoked on the executor, never on the event
+    loop.  Its dict is passed through as the response ``result``.
     """
 
     def __init__(
@@ -272,7 +272,10 @@ class EvalService:
         if self._server is not None:
             return
         self._server = await asyncio.start_server(
-            self._on_client, host=self.config.host, port=self.config.port
+            self._on_client,
+            host=self.config.host,
+            port=self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         current_tracer().event(
@@ -359,7 +362,15 @@ class EvalService:
 
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    metrics().count("service.bad_requests")
+                    await respond(
+                        {"ok": False, "code": "too_large", "id": None,
+                         "error": f"request line exceeds {MAX_LINE_BYTES} "
+                                  "bytes"}
+                    )
+                    continue
                 if not line:
                     break
                 if not line.strip():
@@ -640,7 +651,7 @@ class EvalService:
         req: EvalRequest,
         watch_keys: Optional[tuple] = None,
     ) -> Dict[str, Any]:
-        """One retried, deadline-bounded evaluation on the executor.
+        """One deadline-bounded evaluation on the executor.
 
         *watch_keys* routes progress frames: a fused evaluation streams
         its shard lifecycle to every member key's watchers (each member
@@ -662,25 +673,16 @@ class EvalService:
             run_id=req.key, callback=on_event
         )
 
-        def on_retry(attempt: int, delay: float, exc: BaseException) -> None:
-            metrics().count("service.retries")
-            current_tracer().event(
-                "service.retry", attempt=attempt, delay=delay, error=str(exc)
-            )
-
-        async def attempt() -> Dict[str, Any]:
-            return await loop.run_in_executor(
+        try:
+            evaluation = loop.run_in_executor(
                 self._executor, self.evaluator, req, token
             )
-
-        try:
-            coro = self.config.retry.acall(
-                attempt, retry_on=TRANSIENT_ERRORS, on_retry=on_retry
-            )
             if req.deadline is not None:
-                payload = await asyncio.wait_for(coro, timeout=req.deadline)
+                payload = await asyncio.wait_for(
+                    evaluation, timeout=req.deadline
+                )
             else:
-                payload = await coro
+                payload = await evaluation
         except asyncio.TimeoutError:
             token.cancel("deadline exceeded")
             metrics().count("service.deadline_exceeded")
@@ -693,15 +695,6 @@ class EvalService:
         except RunCancelled as exc:
             return {"ok": False, "code": "cancelled", "error": str(exc),
                     "id": req.id}
-        except TRANSIENT_ERRORS as exc:
-            # retries spent: this is a *final* pool failure — trip the
-            # breaker's counter and still answer, from the model
-            self.breaker.record_failure(f"{type(exc).__name__}: {exc}")
-            metrics().count("service.pool_exhausted")
-            metrics().count("service.degraded")
-            return degraded_answer(
-                req, f"pool failed after retries ({type(exc).__name__})"
-            )
         except Exception as exc:  # deterministic evaluation error
             metrics().count("service.errors")
             return {
@@ -714,7 +707,12 @@ class EvalService:
             progress_bus().unsubscribe(subscription)
             for key in keys:
                 self._progress.pop(key, None)
-        self.breaker.record_success()
+        # the answer is exact either way; a run the pool could not carry
+        # (finished inline by the runner) counts against the pool
+        if token.degrade_reason is not None:
+            self.breaker.record_failure(token.degrade_reason)
+        else:
+            self.breaker.record_success()
         return {
             "ok": True,
             "id": req.id,
@@ -722,6 +720,30 @@ class EvalService:
             "key": req.key,
             "result": payload,
         }
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line; ``b""`` at EOF; None for an over-long line.
+
+    The over-long line is dropped through its newline, so the next line
+    reads intact (``readline`` does not say how much it dropped).
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF: a last unterminated line, or b""
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc.consumed
+    while overrun:  # drop the buffered overrun, then look again
+        await reader.readexactly(overrun)
+        try:
+            await reader.readuntil(b"\n")
+            overrun = 0
+        except asyncio.IncompleteReadError:
+            overrun = 0
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc.consumed
+    return None
 
 
 def run_service(config: Optional[ServiceConfig] = None) -> None:

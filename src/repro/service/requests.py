@@ -32,6 +32,7 @@ evaluation; synthesis requests have no batchable axis and carry
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -62,6 +63,11 @@ ADMIN_KINDS = ("healthz", "readyz", "stats", "statsz", "metricsz")
 #: hard ceiling on per-request sample budgets — one request must not be
 #: able to monopolize the pool for minutes
 MAX_SAMPLES = 200_000
+
+#: ceiling on a request's ``ndigits``/``delta``: far past the paper's
+#: designs, and low enough that parsing one request (whose default depth
+#: grid has ``ndigits`` entries) cannot allocate without bound
+MAX_NDIGITS = 64
 
 _ALLOWED_PARAMS = {
     "montecarlo": {
@@ -118,6 +124,17 @@ def batch_compatibility_key(
     )
 
 
+def _finite(value: Any) -> bool:
+    """Whether *value* is a JSON number (not a bool) with a finite float.
+
+    Rejects NaN, +-Infinity and integers too large for a float.
+    """
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
+
+
 def _int_field(params: Mapping, name: str, default: int, lo: int, hi: int) -> int:
     value = params.get(name, default)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -153,9 +170,9 @@ def _float_list(params: Mapping, name: str) -> Optional[Tuple[float, ...]]:
         raise RequestError(f"{name} must be a non-empty list of numbers")
     out = []
     for v in value:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
+        if not _finite(v) or v <= 0:
             raise RequestError(
-                f"{name} entries must be positive numbers, got {v!r}"
+                f"{name} entries must be finite positive numbers, got {v!r}"
             )
         out.append(float(v))
     return tuple(out)
@@ -163,10 +180,13 @@ def _float_list(params: Mapping, name: str) -> Optional[Tuple[float, ...]]:
 
 def _request_config(params: Mapping, base: RunConfig) -> RunConfig:
     """Per-request RunConfig: geometry/seed/backend override the base."""
-    overrides: Dict[str, Any] = {}
-    for name in ("ndigits", "delta", "seed"):
-        if name in params:
-            overrides[name] = params[name]
+    overrides: Dict[str, Any] = {
+        name: _int_field(params, name, 0, lo=1, hi=MAX_NDIGITS)
+        for name in ("ndigits", "delta")
+        if name in params
+    }
+    if "seed" in params:
+        overrides["seed"] = params["seed"]
     if "backend" in params:
         if not isinstance(params["backend"], str):
             raise RequestError(
@@ -207,10 +227,9 @@ def parse_request(
         )
     deadline = message.get("deadline", default_deadline)
     if deadline is not None:
-        if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) \
-                or deadline <= 0:
+        if not _finite(deadline) or deadline <= 0:
             raise RequestError(
-                f"deadline must be a positive number of seconds, got "
+                f"deadline must be a finite positive number of seconds, got "
                 f"{deadline!r}"
             )
         deadline = float(deadline)
@@ -267,9 +286,9 @@ def parse_request(
         metric, value = "snr", params["target_snr"]
     else:
         metric, value = "mre", params.get("target_mre", 5.0)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _finite(value):
         raise RequestError(
-            f"target_{metric} must be a number, got {value!r}"
+            f"target_{metric} must be a finite number, got {value!r}"
         )
     wordlengths = _int_list(params, "wordlengths")
     periods = _float_list(params, "periods")

@@ -1,11 +1,16 @@
-"""ResultCache: round-trips, key sensitivity, corruption tolerance."""
+"""ResultCache: round-trips, key sensitivity, corruption and write-fault
+tolerance."""
 
+import contextlib
 import json
+import resource
+import signal
 
 import numpy as np
 import pytest
 
 from repro.faults import corrupt_cache_entry
+from repro.obs.metrics import metrics
 from repro.runners import (
     QUARANTINE_DIR,
     ResultCache,
@@ -13,6 +18,7 @@ from repro.runners import (
     cache_for,
     cache_key,
 )
+from repro.sim.montecarlo import run_montecarlo
 from repro.sim.sweep import SweepResult
 
 
@@ -177,6 +183,54 @@ class TestRawPayloads:
         with pytest.warns(RuntimeWarning):
             assert cache.get_raw("raw") is None
         assert cache.stats()["corrupt"] == 1
+
+
+@contextlib.contextmanager
+def file_size_limit(nbytes):
+    """Writes past *nbytes* fail with EFBIG: a full disk, for one file."""
+    limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, limit[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limit)
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+def write_errors():
+    return metrics().snapshot()["counters"].get("cache.write_errors", 0)
+
+
+class TestWriteFaults:
+    def test_failed_write_warns_and_leaves_no_tmp(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache_key(x=1)
+        before = write_errors()
+        with pytest.warns(RuntimeWarning, match="not stored"):
+            with file_size_limit(16):
+                cache.put(key, make_sweep(), {})
+                cache.put_raw("ckpt", {"a": 1})
+        assert write_errors() == before + 2
+        assert not list(tmp_path.glob("*.tmp"))
+        assert cache.get(key) is None and cache.get_raw("ckpt") is None
+        cache.put(key, make_sweep(), {})  # the disk has room again
+        assert isinstance(cache.get(key), SweepResult)
+
+    def test_run_montecarlo_returns_its_result(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        config = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=str(cache_dir))
+        # the directory is replaced by a file: fails even as root
+        cache_dir.rmdir()
+        cache_dir.write_text("not a directory")
+        before = write_errors()
+        with pytest.warns(RuntimeWarning, match="not stored"):
+            result = run_montecarlo(config, num_samples=200, depths=[2, 4])
+        assert write_errors() == before + 1
+        fresh = run_montecarlo(
+            config.with_(cache_dir=None), num_samples=200, depths=[2, 4]
+        )
+        assert np.array_equal(result.mean_abs_error, fresh.mean_abs_error)
 
 
 class TestCacheFor:

@@ -361,6 +361,8 @@ class TestCancellation:
         assert stats.failure_reasons == [
             "shard exceeded shard_timeout=0.05s"
         ] * runner.max_pool_failures
+        # the degrade report travels back up on the caller's token
+        assert token.degrade_reason == stats.degrade_reason
 
     def test_timeout_without_token_keeps_same_reason(self):
         runner = ParallelRunner(jobs=2, shard_timeout=0.05, backoff=0.01)
@@ -380,6 +382,7 @@ class TestCancellation:
         r2 = ParallelRunner(jobs=1, cancel_token=token)
         assert r2.map(_double, [3]) == [6]
         assert not r1.stats.cancelled and not r2.stats.cancelled
+        assert token.degrade_reason is None  # clean runs report nothing
 
 
 def _count_span_and_sleep(task):

@@ -15,20 +15,14 @@ import pytest
 
 from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
-from repro.service import (
-    EvalService,
-    ServiceClient,
-    ServiceConfig,
-    TransientEvalError,
-)
+from repro.runners.parallel import CancelToken
+from repro.service import EvalService, ServiceClient, ServiceConfig
 from repro.service.batch import MicroBatcher, merge_requests
 from repro.service.daemon import evaluate_request
 from repro.service.requests import parse_request
-from repro.service.retry import RetryPolicy
 
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None)
-FAST_RETRY = RetryPolicy(base=0.005, cap=0.01, budget=0.03, max_attempts=3)
 
 
 def service_config(**overrides):
@@ -36,7 +30,6 @@ def service_config(**overrides):
         run_config=BASE,
         concurrency=2,
         batch_window=0.25,
-        retry=FAST_RETRY,
         failure_threshold=2,
         reset_timeout=0.2,
         drain_timeout=2.0,
@@ -292,29 +285,53 @@ class TestCompatibilityBoundaries:
 
 
 class TestFailureSplitting:
-    def test_degraded_fused_evaluation_degrades_each_member(self):
-        def broken(req, token):
-            raise TransientEvalError("pool down")
+    def test_degraded_fused_run_answers_members_exactly(self):
+        # a real pool fault: both pools the runner tries time out, so
+        # the fused run finishes inline — exact, but a pool failure
+        healthy = BASE.with_(shard_size=500)
+        faulty = healthy.with_(jobs=2, shard_timeout=0.001)
+        config = service_config(
+            run_config=faulty, failure_threshold=1, reset_timeout=60.0
+        )
+        evaluator, calls = counted(evaluate_request)
+        grids = ([2, 4], [3])
+
+        def pair(client, samples):
+            return asyncio.gather(*(
+                client.request("montecarlo",
+                               {"samples": samples, "depths": grid})
+                for grid in grids
+            ))
 
         async def main():
-            service, client = await started(evaluator=broken)
-            r1, r2 = await asyncio.gather(
-                client.request("montecarlo", {"samples": 80,
-                                              "depths": [2, 4]}),
-                client.request("montecarlo", {"samples": 80, "depths": [3]}),
-            )
+            service, client = await started(config, evaluator=evaluator)
+            fused = await pair(client, 1000)
+            state = service.breaker.state
+            later = await pair(client, 1001)
             await finish(service, client)
-            return r1, r2
+            return fused, state, later
 
-        r1, r2 = asyncio.run(main())
-        for resp in (r1, r2):
-            assert resp["ok"] is True
+        fused, state, later = asyncio.run(main())
+        assert len(calls) == 1  # one fused evaluation, never retried
+        assert state == "open"  # one degraded evaluation, one failure
+        for resp, grid in zip(fused, grids):
+            solo = evaluate_request(
+                parse_request(
+                    {"kind": "montecarlo",
+                     "params": {"samples": 1000, "depths": grid}},
+                    base_config=healthy,
+                ),
+                CancelToken(),
+            )
+            assert "degraded" not in resp
+            assert canonical(resp) == json.dumps(solo, sort_keys=True)
+        # breaker open: each member's analytical answer covers its own
+        # grid, and neither reaches the evaluator
+        for resp, grid in zip(later, grids):
             assert resp["degraded"] is True
             assert resp["source"] == "analytical-model"
-        # each member's analytical answer covers its *own* grid
-        assert [row["depth"] for row in r1["result"]["rows"]] == [2, 4]
-        assert [row["depth"] for row in r2["result"]["rows"]] == [3]
-        assert r1["id"] != r2["id"]
+            assert [row["depth"] for row in resp["result"]["rows"]] == grid
+        assert later[0]["id"] != later[1]["id"]
 
     def test_deterministic_error_is_copied_per_member(self):
         def explode(req, token):

@@ -4,36 +4,40 @@ breaker/degraded answers, deadlines and graceful drain.
 No pytest-asyncio here by design — each test drives its own event loop
 with ``asyncio.run``, which also guarantees the daemon's lifecycle is
 exercised from a cold loop every time (exactly how ``repro serve``
-runs it).  Evaluators are injected: these tests exercise the *service*
-semantics; the real evaluator is covered by the round-trip test and
-the integration suite.
+runs it).  Service semantics (coalescing, shedding, deadlines, drain)
+use injected evaluators; the breaker is driven by a real pool fault
+through the real evaluator, since its only input is the runner's own
+degrade report.
 """
 
 import asyncio
+import dataclasses
+import json
 import threading
 import time
 
+import pytest
+
 from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
-from repro.runners.parallel import RunCancelled
-from repro.service import (
-    EvalService,
-    ServiceClient,
-    ServiceConfig,
-    TransientEvalError,
-)
-from repro.service.retry import RetryPolicy
+from repro.runners.parallel import CancelToken, RunCancelled
+from repro.service import EvalService, ServiceClient, ServiceConfig
+from repro.service.daemon import MAX_LINE_BYTES, evaluate_request
+from repro.service.requests import parse_request
 
 
-BASE = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None)
-FAST_RETRY = RetryPolicy(base=0.005, cap=0.01, budget=0.03, max_attempts=3)
+BASE = RunConfig(ndigits=3, seed=7, jobs=1, shard_size=500, cache_dir=None)
+
+#: a real pool fault: every 500-sample shard overruns a 1 ms budget, so
+#: the runner loses each pool it tries and finishes the run inline
+TIMEOUT_FAULT = BASE.with_(jobs=2, shard_timeout=0.001)
+TIMEOUT_REASON = "shard exceeded shard_timeout=0.001s"
 
 
 def service_config(**overrides):
     kwargs = dict(
         run_config=BASE,
         concurrency=2,
-        retry=FAST_RETRY,
         failure_threshold=2,
         reset_timeout=0.2,
         drain_timeout=2.0,
@@ -52,6 +56,25 @@ async def started(config=None, evaluator=None):
 async def finish(service, client):
     await client.aclose()
     await service.drain()
+
+
+def counted():
+    """The real evaluator, recording the key of every call."""
+    calls = []
+
+    def evaluate(req, token):
+        calls.append(req.key)
+        return evaluate_request(req, token)
+
+    return evaluate, calls
+
+
+def solo(params):
+    """The unfaulted answer to one montecarlo request, as the wire has it."""
+    req = parse_request(
+        {"kind": "montecarlo", "params": params}, base_config=BASE
+    )
+    return json.loads(json.dumps(evaluate_request(req, CancelToken())))
 
 
 def cooperative_slow(duration):
@@ -268,52 +291,51 @@ class TestShedding:
 
 class TestBreakerAndDegradation:
     def test_pool_down_still_answers_every_request(self):
+        """Fault-table row: a shard timeout on every pool the runner tries."""
         metrics().reset()
-
-        def broken(req, token):
-            raise TransientEvalError("worker exploded")
+        evaluator, calls = counted()
+        config = service_config(run_config=TIMEOUT_FAULT, reset_timeout=60.0)
+        params = [{"samples": 1000 + i, "depths": [2, 4]} for i in range(3)]
 
         async def main():
-            service, client = await started(evaluator=broken)
-            responses = []
-            for i in range(5):
-                responses.append(await client.request(
-                    "montecarlo", {"samples": 100 + i, "depths": [4]}
-                ))
-            state = service.breaker.state
+            service, client = await started(config, evaluator)
+            responses = [
+                await client.request("montecarlo", p) for p in params
+            ]
+            breaker = service.breaker
             await finish(service, client)
-            return responses, state
+            return responses, breaker
 
-        responses, state = asyncio.run(main())
-        assert state == "open"
-        # every request answered, all via the analytical degraded path
-        assert all(r["ok"] for r in responses)
-        assert all(r["degraded"] for r in responses)
-        # first two paid the retry schedule and tripped the breaker;
-        # the rest short-circuited on the open breaker
+        (first, second, third), breaker = asyncio.run(main())
+        # the first failure_threshold answers are exact, finished inline
+        for resp, p in ((first, params[0]), (second, params[1])):
+            assert "degraded" not in resp
+            assert resp["result"] == solo(p)
+        assert breaker.state == "open"
+        assert breaker.last_failure == TIMEOUT_REASON
+        assert third["ok"] is True and third["degraded"] is True
+        assert TIMEOUT_REASON in third["degraded_reason"]
+        assert len(calls) == 2 == len(set(calls))  # each evaluated once
         counters = metrics().snapshot()["counters"]
-        assert counters["service.breaker.opened"] == 1
-        assert counters["service.pool_exhausted"] == 2
-        assert counters["service.degraded"] == 5
-        assert counters["service.retries"] == 2 * 2  # 2 retries x 2 requests
+        assert counters["pool.degraded"] == 2
+        assert counters["service.degraded"] == 1
 
     def test_half_open_probe_restores_service(self):
-        calls = {"n": 0}
-
-        def flaky_then_fixed(req, token):
-            calls["n"] += 1
-            if calls["n"] <= 6:  # 2 requests x 3 attempts all fail
-                raise TransientEvalError("still down")
-            return {"v": "recovered"}
-
         async def main():
-            service, client = await started(evaluator=flaky_then_fixed)
+            service, client = await started(
+                service_config(run_config=TIMEOUT_FAULT)
+            )
             for i in range(2):
                 r = await client.request(
-                    "montecarlo", {"samples": 200 + i, "depths": [4]}
+                    "montecarlo", {"samples": 1000 + i, "depths": [4]}
                 )
-                assert r["degraded"]
+                assert r["ok"] and "degraded" not in r
             assert service.breaker.state == "open"
+            # the pool recovers; once the cooldown elapses one probe
+            # gets through and its clean run closes the breaker
+            service.config = dataclasses.replace(
+                service.config, run_config=BASE
+            )
             await asyncio.sleep(0.25)  # past reset_timeout
             probe = await client.request(
                 "montecarlo", {"samples": 300, "depths": [4]}
@@ -325,29 +347,117 @@ class TestBreakerAndDegradation:
         probe, state = asyncio.run(main())
         assert probe["ok"] is True
         assert "degraded" not in probe
-        assert probe["result"]["v"] == "recovered"
+        assert probe["result"]["depths"] == [4]
         assert state == "closed"
 
     def test_degraded_montecarlo_answer_has_model_rows(self):
-        def broken(req, token):
-            raise TransientEvalError("down")
-
-        config = service_config(failure_threshold=1)
+        config = service_config(
+            run_config=TIMEOUT_FAULT, failure_threshold=1, reset_timeout=60.0
+        )
 
         async def main():
-            service, client = await started(config, evaluator=broken)
+            service, client = await started(config)
+            first = await client.request(
+                "montecarlo", {"samples": 1000, "depths": [4, 6]}
+            )
             r = await client.request(
-                "montecarlo", {"samples": 100, "depths": [4, 6]}
+                "montecarlo", {"samples": 1001, "depths": [4, 6]}
             )
             await finish(service, client)
-            return r
+            return first, r
 
-        r = asyncio.run(main())
+        first, r = asyncio.run(main())
+        assert "degraded" not in first  # exact, finished inline
         assert r["degraded"] is True
         assert r["source"] == "analytical-model"
+        assert "shard_timeout" in r["degraded_reason"]
         rows = r["result"]["rows"]
         assert [row["depth"] for row in rows] == [4, 6]
         assert rows[0]["mean_abs_error"] >= rows[1]["mean_abs_error"]
+
+
+class TestFaultTable:
+    """DESIGN.md §10's fault table, each row against the real evaluator.
+
+    The shard-timeout row is ``TestBreakerAndDegradation``'s first test;
+    the worker-crash row lives in ``tests/runners/test_workerpool.py``.
+    """
+
+    def test_cache_write_failure_is_recovered(self, tmp_path):
+        metrics().reset()
+        evaluator, calls = counted()
+        cache_dir = tmp_path / "cache"
+        config = service_config(run_config=BASE.with_(cache_dir=str(cache_dir)))
+        params = {"samples": 200, "depths": [2, 4], "seed": 7}
+
+        async def main():
+            service, client = await started(config, evaluator)
+            # the disk goes bad under a running daemon; fails even as root
+            cache_dir.rmdir()
+            cache_dir.write_text("not a directory")
+            resp = await client.request("montecarlo", params)
+            state = service.breaker.state
+            await finish(service, client)
+            return resp, state
+
+        resp, state = asyncio.run(main())
+        assert resp["ok"] is True
+        assert "degraded" not in resp and "cached" not in resp
+        assert resp["result"] == solo(params)
+        assert state == "closed"
+        assert len(calls) == 1
+        assert metrics().snapshot()["counters"]["cache.write_errors"] >= 1
+
+    def test_deterministic_evaluator_exception_is_an_error(self):
+        metrics().reset()
+        evaluator, calls = counted()
+        # a single pool failure would open this breaker; an error must not
+        config = service_config(failure_threshold=1)
+
+        async def main():
+            service, client = await started(config, evaluator)
+            resp = await client.request(
+                "synthesis", {"samples": 100, "wordlengths": [0]}
+            )
+            state = service.breaker.state
+            await finish(service, client)
+            return resp, state
+
+        resp, state = asyncio.run(main())
+        assert resp["ok"] is False and resp["code"] == "error"
+        assert "ValueError" in resp["error"]
+        assert state == "closed"
+        assert len(calls) == 1
+        assert metrics().snapshot()["counters"]["service.errors"] == 1
+
+    @pytest.mark.parametrize("pad", [MAX_LINE_BYTES, 3 * MAX_LINE_BYTES])
+    def test_oversized_line_is_answered_and_the_connection_survives(
+        self, pad
+    ):
+        metrics().reset()
+        huge = json.dumps({"kind": "montecarlo", "params": {"pad": "x" * pad}})
+
+        async def main():
+            service = EvalService(service_config())
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            writer.write(huge.encode() + b"\n")
+            writer.write(b'{"kind": "healthz", "id": "after"}\n')
+            lines = [
+                json.loads(await asyncio.wait_for(reader.readline(), 10))
+                for _ in range(2)
+            ]
+            writer.close()
+            await service.drain()
+            return lines
+
+        too_large, health = asyncio.run(main())
+        assert too_large["ok"] is False and too_large["code"] == "too_large"
+        assert too_large["id"] is None
+        assert health["ok"] is True and health["id"] == "after"
+        assert metrics().snapshot()["counters"]["service.bad_requests"] == 1
 
 
 class TestLeaderFailure:

@@ -1,10 +1,15 @@
 """Request parsing: strict validation onto the experiments' cache keys."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.runners.cache import cache_key
 from repro.runners.config import RunConfig
 from repro.service.requests import (
+    MAX_NDIGITS,
+    REQUEST_CLASSES,
     EvalRequest,
     RequestError,
     parse_request,
@@ -109,6 +114,7 @@ class TestValidation:
             {"kind": "montecarlo", "deadline": -1.0},
             {"kind": "montecarlo", "params": "nope"},
             {"kind": "sweep", "params": {"periods": [0.0]}},
+            {"kind": "montecarlo", "params": {"ndigits": MAX_NDIGITS + 1}},
         ],
     )
     def test_rejected(self, message):
@@ -137,3 +143,43 @@ class TestValidation:
         assert isinstance(req, EvalRequest)
         with pytest.raises(AttributeError):
             req.kind = "sweep"
+
+
+#: any JSON value (json.loads also yields NaN and +-Infinity)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+#: every parameter name some request kind accepts, so generated params
+#: reach the value checks instead of stopping at "unknown parameter"
+PARAM_NAMES = (
+    "backend", "datapath", "delta", "depths", "ndigits", "periods",
+    "samples", "seed", "steps", "target_mre", "target_snr", "wordlengths",
+)
+
+
+class TestParseProperty:
+    @settings(max_examples=200, deadline=None)
+    @example(kind="sweep", params={"periods": [math.inf]}, deadline=None)
+    @example(kind="sweep", params={"periods": [10**400]}, deadline=None)
+    @example(kind="synthesis", params={"target_mre": 10**400}, deadline=None)
+    @example(kind="montecarlo", params={}, deadline=10**400)
+    @given(
+        kind=st.sampled_from(REQUEST_CLASSES),
+        params=JSON | st.dictionaries(
+            st.sampled_from(PARAM_NAMES), JSON, max_size=4
+        ),
+        deadline=JSON,
+    )
+    def test_any_json_parses_or_raises_request_error(
+        self, kind, params, deadline
+    ):
+        try:
+            req = parse({"kind": kind, "params": params, "deadline": deadline})
+        except RequestError:
+            return
+        assert isinstance(req, EvalRequest)
