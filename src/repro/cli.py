@@ -12,7 +12,7 @@ Installed as ``repro-overclock`` (see ``pyproject.toml``), or run as
     conventional baseline (raw-operator version of the case study).
 ``sweep``
     Stage-delay latency-accuracy sweep of the online multiplier over a
-    normalized-period grid; ``--backend vector`` evaluates the whole
+    normalized-period grid; the default engine evaluates the whole
     grid in one fused pass (:mod:`repro.vec.fused`).
 ``synth``
     Latency-accuracy auto-synthesis of a demo datapath: search
@@ -490,11 +490,13 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
 
     p.add_argument(
         "--backend",
-        default="packed",
+        default="auto",
         choices=list(BACKENDS),
-        help="simulation engine: compiled bit-packed (default), "
-             "interpreting waveform, auto (packed with fallback), or "
-             "vector (digit-level behavioral; netlist runs use packed)",
+        help="simulation engine: auto (default: vector for online-"
+             "multiplier waves, packed for gate-level netlists), packed "
+             "(compiled bit-packed), wave (interpreting waveform) or "
+             "vector (digit-level behavioral; netlist runs use packed). "
+             "All are bit-identical and share cache entries",
     )
 
 
@@ -561,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="stage-delay latency-accuracy sweep (fused under "
-             "--backend vector)",
+        help="stage-delay latency-accuracy sweep (fused on the vector "
+             "engine)",
     )
     p.add_argument("--ndigits", type=int, default=8)
     p.add_argument("--samples", type=int, default=20000)

@@ -181,7 +181,7 @@ class OnlineMultiplier:
         xdigits: np.ndarray,
         ydigits: np.ndarray,
         max_ticks: Optional[int] = None,
-        backend: str = "packed",
+        backend: str = "auto",
     ) -> np.ndarray:
         """Stage-delay timing simulation of a batch of multiplications.
 
@@ -199,12 +199,13 @@ class OnlineMultiplier:
             Number of ticks to simulate (default ``N + delta``, after which
             the wave has fully settled).
         backend:
-            ``"packed"`` (default) runs the recurrence on bit-packed
-            uint64 words (64 samples per word, :class:`PackedOps`);
-            ``"wave"`` uses the original uint8-lane :class:`NumpyOps`
-            evaluation; ``"vector"`` dispatches to the digit-level
-            behavioral engine (:func:`repro.vec.om_wave_vector`).  All
-            three produce bit-identical results at every tick.
+            ``"auto"`` (default) and ``"vector"`` dispatch to the
+            digit-level behavioral engine
+            (:func:`repro.vec.om_wave_vector`); ``"packed"`` runs the
+            recurrence on bit-packed uint64 words (64 samples per word,
+            :class:`PackedOps`); ``"wave"`` uses the original uint8-lane
+            :class:`NumpyOps` evaluation.  All produce bit-identical
+            results at every tick.
 
         Returns
         -------

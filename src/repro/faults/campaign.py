@@ -40,7 +40,11 @@ from repro.faults.models import (
 )
 from repro.faults.stuck import apply_stuck_faults
 from repro.faults.timing import DriftedDelayModel
-from repro.netlist.compiled import circuit_fingerprint, make_simulator
+from repro.netlist.compiled import (
+    circuit_fingerprint,
+    make_simulator,
+    resolve_backend,
+)
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.sta import static_timing
 from repro.obs.trace import current_tracer
@@ -364,6 +368,9 @@ def run_fault_campaign(
     order.  Returns a :class:`FaultCampaignResult` with ``run_stats``
     and ``fault_stats`` attached.
     """
+    config = config.with_(
+        backend=resolve_backend(config.backend, netlist=True)
+    )
     with current_tracer().span(
         "run.fault_campaign",
         model=model,

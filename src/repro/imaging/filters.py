@@ -47,7 +47,7 @@ from repro.core.ops import NetOps
 from repro.imaging.metrics import mre_percent as _mre_percent
 from repro.imaging.metrics import snr_db as _snr_db
 from repro.imaging.synthetic import benchmark_image
-from repro.netlist.compiled import make_simulator
+from repro.netlist.compiled import make_simulator, resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.gates import Circuit
 from repro.numrep.rounding import floor_ratio
@@ -232,10 +232,11 @@ class ConvolutionDatapath:
         non-negative kernels support this mode (the port encoder feeds
         plain binary digits).
     backend:
-        Simulation engine: ``"packed"`` (default) compiles the datapath
-        to the bit-packed engine; ``"wave"`` uses the interpreting
-        waveform simulator; ``"vector"`` falls back to the packed engine
-        (the behavioral engine has no gate-level netlist semantics).
+        Simulation engine: ``"auto"`` (default) and ``"packed"`` compile
+        the datapath to the bit-packed engine; ``"wave"`` uses the
+        interpreting waveform simulator; ``"vector"`` falls back to the
+        packed engine (the behavioral engine has no gate-level netlist
+        semantics).
         Outputs are bit-identical in every case.
     config:
         Optional :class:`~repro.runners.RunConfig`; when given, its
@@ -252,7 +253,7 @@ class ConvolutionDatapath:
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         coefficients_as_inputs: bool = False,
-        backend: str = "packed",
+        backend: str = "auto",
         config: Optional[RunConfig] = None,
         *,
         _spec=None,
@@ -515,7 +516,7 @@ class GaussianFilterDatapath(ConvolutionDatapath):
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         coefficients_as_inputs: bool = False,
-        backend: str = "packed",
+        backend: str = "auto",
         *,
         _spec=None,
     ) -> None:
@@ -546,7 +547,7 @@ class SobelFilterDatapath(ConvolutionDatapath):
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         vertical: bool = False,
-        backend: str = "packed",
+        backend: str = "auto",
         *,
         _spec=None,
     ) -> None:
@@ -734,7 +735,7 @@ def run_filter_study(
     across ``config.jobs`` worker processes.  The benchmark images are
     generated from fixed per-image seeds and the datapaths are fully
     deterministic, so ``config.seed`` (and ``shard_size``) do not enter
-    the result or its cache key; ``ndigits``/``backend`` do.
+    the result or its cache key; ``ndigits`` does.
     """
     images = [str(name) for name in images]
     arithmetics = [str(a) for a in arithmetics]
@@ -748,7 +749,9 @@ def run_filter_study(
         if arith not in ("online", "traditional"):
             raise ValueError("arithmetics must be 'online' or 'traditional'")
     model = delay_model if delay_model is not None else FpgaDelay()
-
+    config = config.with_(
+        backend=resolve_backend(config.backend, netlist=True)
+    )
     with current_tracer().span(
         "run.filter_study",
         kernel=kernel,

@@ -27,9 +27,10 @@ equivalent to the waveform simulator at every time step — the
 equivalence suite in ``tests/netlist/test_packed_equivalence.py``
 enforces exactly that.
 
-Use :func:`make_simulator` to pick an engine by name (``"packed"`` |
-``"wave"`` | ``"auto"``); ``"packed"`` falls back to the waveform
-simulator automatically if compilation fails.
+Use :func:`make_simulator` to pick an engine by name (``"auto"`` |
+``"packed"`` | ``"wave"`` | ``"vector"``); ``"packed"`` falls back to the waveform
+simulator automatically if compilation fails.  :func:`resolve_backend`
+holds the one rule that turns ``"auto"`` into an engine.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ from repro.netlist.sim import (
 )
 
 #: engine names accepted by :func:`make_simulator` and every ``backend=``
-#: parameter downstream.  ``"vector"`` is the digit-level behavioral
-#: engine (:mod:`repro.vec`): gate-level netlist simulations fall back to
-#: the packed engine under it (see :func:`make_simulator`), while the
+#: parameter downstream.  ``"auto"`` (the default everywhere) picks the
+#: engine by :func:`resolve_backend`; the other three are explicit
+#: overrides.  ``"vector"`` is the digit-level behavioral engine
+#: (:mod:`repro.vec`): gate-level netlist simulations fall back to the
+#: packed engine under it (see :func:`make_simulator`), while the
 #: online-operator wave recurrences dispatch to the vectorized kernels.
 BACKENDS = ("packed", "wave", "auto", "vector")
 
@@ -96,12 +99,23 @@ _OPCODES: Dict[str, int] = {
 }
 
 
-def resolve_backend(backend: str) -> str:
-    """Validate a backend name; raises ``ValueError`` on unknown names."""
+def resolve_backend(backend: str, netlist: bool = False) -> str:
+    """The engine that runs one piece of work under *backend*.
+
+    The one engine rule: ``"auto"`` runs online-multiplier waves (the
+    Monte-Carlo, stage sweeps, error profiles, synthesis verification)
+    on ``"vector"``, which ``tests/vec`` proves bit-identical to the
+    gate-level engines, and arbitrary gate-level netlists
+    (``netlist=True``: multiplier and filter sweeps, fault campaigns) on
+    ``"packed"``.  Explicit names pass through.  Raises ``ValueError``
+    on unknown names.
+    """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
+    if backend == "auto":
+        return "packed" if netlist else "vector"
     return backend
 
 
@@ -515,28 +529,29 @@ Simulator = Union[CompiledCircuit, WaveformSimulator]
 def make_simulator(
     circuit: Circuit,
     delay_model: Optional[DelayModel] = None,
-    backend: str = "packed",
+    backend: str = "auto",
 ) -> Simulator:
     """Build a simulator for *circuit* by backend name.
 
     ``"wave"`` returns the interpreting :class:`WaveformSimulator`;
-    ``"packed"`` (the default) and ``"auto"`` return a cached
+    ``"auto"`` (the default) and ``"packed"`` return a cached
     :class:`CompiledCircuit`, falling back to the waveform simulator
-    automatically should compilation fail.  ``"vector"`` — the
-    digit-level behavioral engine in :mod:`repro.vec` — has no gate-level
-    netlist semantics, so netlist simulations run on the packed engine
-    instead (bit-identical results; a ``backend.vector_fallback`` trace
-    event records the substitution).
+    automatically should compilation fail.  An explicit ``"vector"`` —
+    the digit-level behavioral engine in :mod:`repro.vec` — has no
+    gate-level netlist semantics, so netlist simulations run on the
+    packed engine instead (bit-identical results; a
+    ``backend.vector_fallback`` trace event and the
+    ``vec.netlist_fallbacks`` counter record the substitution).
     """
-    resolve_backend(backend)
-    if backend == "vector":
+    engine = resolve_backend(backend, netlist=True)
+    if engine == "vector":
         from repro.obs.trace import current_tracer
 
         current_tracer().event(
             "backend.vector_fallback", circuit=circuit.name, to="packed"
         )
         metrics().count("vec.netlist_fallbacks")
-    if backend == "wave":
+    if engine == "wave":
         return WaveformSimulator(circuit, delay_model)
     try:
         return compile_circuit(circuit, delay_model)

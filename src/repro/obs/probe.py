@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.model import OverclockingErrorModel
 from repro.core.conversion import digits_to_scaled_int
+from repro.netlist.compiled import resolve_backend
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_for, cache_key
@@ -265,12 +266,13 @@ def run_stage_probe(
         **config.describe(),
     )
     key = cache_key(**key_components)
+    engine = resolve_backend(config.backend)
     runner = runner or ParallelRunner.from_config(config)
     with tracer.span(
         "run.stage_probe",
         ndigits=config.ndigits,
         delta=config.delta,
-        backend=config.backend,
+        backend=engine,
         num_samples=int(num_samples),
         depths=[int(b) for b in depths_arr],
     ):
@@ -278,7 +280,7 @@ def run_stage_probe(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    "stage_probe", cache="hit", backend=config.backend
+                    "stage_probe", cache="hit", backend=engine
                 )
                 return attach_metrics(hit)
 
@@ -288,7 +290,7 @@ def run_stage_probe(
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
-                "backend": config.backend,
+                "backend": engine,
                 "depths": [int(b) for b in depths_arr],
                 "seed_seq": ss,
                 "samples": m,
@@ -318,7 +320,7 @@ def run_stage_probe(
         result.run_stats = runner.finalize_stats(
             "stage_probe",
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            backend=engine,
         )
         attach_metrics(result)
     return result

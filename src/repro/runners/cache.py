@@ -3,11 +3,12 @@
 A cache entry is addressed by the blake2b digest of the canonical JSON of
 its *key components* — the experiment name plus everything that
 determines the result: netlist structural fingerprint and exact delay
-assignment for gate-level experiments, operand geometry, backend, master
-seed, shard size and per-experiment parameters (sample counts, depths,
-steps, images, frequency factors).  Execution details — ``jobs``,
-``cache_dir`` — never enter the key, so a result computed by one worker
-layout is served to every other.
+assignment for gate-level experiments, operand geometry, master seed,
+shard size and per-experiment parameters (sample counts, depths, steps,
+images, frequency factors).  Execution details — the simulation engine
+(``backend``), ``jobs``, ``cache_dir`` — never enter the key, so a
+result computed by one engine and worker layout is served to every
+other.
 
 Storage is the split format the :mod:`repro.runners.results` protocol is
 designed around:
@@ -65,8 +66,11 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.results import jsonable, result_from_dict
 
-#: bump to invalidate every existing cache entry on a format change
-CACHE_FORMAT_VERSION = 1
+#: bump to invalidate every existing cache entry on a format or key
+#: change.  It is hashed into every key, so an entry written under an
+#: older version is never looked up again: a plain miss.  Version 2
+#: took the engine out of the key.
+CACHE_FORMAT_VERSION = 2
 
 #: ``kind`` tag of raw (non-Result) JSON payload entries
 RAW_KIND = "_raw"
@@ -78,6 +82,11 @@ QUARANTINE_DIR = "quarantine"
 #: writer is swept at construction — generous enough that no live
 #: writer (entries take seconds at most) can be holding it
 STALE_TMP_SECONDS = 3600.0
+
+#: directory -> time of this process's last stale-tmp sweep there
+#: (see ResultCache._sweep_stale_tmp); nothing goes stale faster than
+#: STALE_TMP_SECONDS, so sweeping more often finds nothing new
+_last_sweep: Dict[str, float] = {}
 
 
 def cache_key(**components: Any) -> str:
@@ -120,19 +129,31 @@ class ResultCache:
 
         Only files older than :data:`STALE_TMP_SECONDS` go — a fresh
         tmp file may belong to a concurrent writer about to rename it.
+        Runs at most once per :data:`STALE_TMP_SECONDS` per directory in
+        one process, and streams the directory: the entry points open a
+        cache per run, so otherwise every run of a long-running process
+        would pay time and memory in proportion to the entries stored.
         Best-effort: a racing sweep losing to another process is fine.
         """
-        cutoff = time.time() - STALE_TMP_SECONDS
+        now = time.time()
+        where = str(self.cache_dir)
+        last = _last_sweep.get(where)
+        if last is not None and now - last < STALE_TMP_SECONDS:
+            return
+        _last_sweep[where] = now
+        cutoff = now - STALE_TMP_SECONDS
         try:
-            candidates = list(self.cache_dir.glob("*.tmp"))
+            with os.scandir(self.cache_dir) as entries:
+                for entry in entries:
+                    if not entry.name.endswith(".tmp"):
+                        continue
+                    try:
+                        if entry.stat().st_mtime < cutoff:
+                            os.unlink(entry.path)
+                    except OSError:
+                        pass
         except OSError:
             return
-        for path in candidates:
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-            except OSError:
-                pass
 
     # --------------------------------------------------------------- paths
     def _json_path(self, key: str) -> Path:

@@ -4,7 +4,7 @@ Every batch experiment in the repository — the stage-delay Monte-Carlo,
 the gate-level overclocking sweeps, the per-digit error-profile grids and
 the image-filter case study — is parameterised by the same handful of
 knobs: operand geometry (``ndigits``/``delta``), the simulation engine
-(``backend``), the master ``seed``, and the execution environment
+(``backend``, default ``"auto"``), the master ``seed``, and the execution environment
 (``jobs`` worker processes, ``cache_dir`` for the persistent result
 cache).  Historically each entry point grew its own ad-hoc subset of
 these as keyword arguments; :class:`RunConfig` replaces that with one
@@ -15,8 +15,12 @@ immutable dataclass consumed uniformly by
 * :func:`repro.sim.error_profile.run_error_profile`, and
 * :func:`repro.imaging.filters.run_filter_study`.
 
-Two fields deserve emphasis:
+Three fields deserve emphasis:
 
+``backend``
+    The engine.  Like ``jobs``, an execution detail: the engines are
+    bit-identical by contract (``tests/vec``), so it is left out of
+    :meth:`RunConfig.describe` and hence out of every cache key.
 ``jobs``
     Number of worker processes.  **Results never depend on it**: the
     workload is split into shards of ``shard_size`` samples with
@@ -26,8 +30,8 @@ Two fields deserve emphasis:
 ``shard_size``
     Samples per shard.  Part of the statistical identity of a run —
     changing it regroups the per-shard RNG streams and therefore changes
-    the drawn samples — so it participates in cache keys while ``jobs``
-    and ``cache_dir`` do not.
+    the drawn samples — so it participates in cache keys while ``backend``,
+    ``jobs`` and ``cache_dir`` do not.
 
 Environment defaults: ``REPRO_JOBS`` seeds the default ``jobs`` and
 ``REPRO_CACHE_DIR`` the default ``cache_dir``, so CI legs and benchmark
@@ -72,11 +76,12 @@ class RunConfig:
     ndigits / delta:
         Operand geometry (word length ``N`` and online delay).
     backend:
-        Simulation engine: ``"packed"`` (default), ``"wave"``, ``"auto"``
-        or ``"vector"`` — all bit-identical.  ``"vector"`` runs online-
-        operator waves on the digit-level behavioral engine
-        (:mod:`repro.vec`); gate-level netlist experiments fall back to
-        the packed engine under it.
+        Simulation engine: ``"auto"`` (default), ``"packed"``, ``"wave"``
+        or ``"vector"`` — all bit-identical.  ``"auto"`` runs online-
+        multiplier waves on the digit-level ``"vector"`` engine
+        (:mod:`repro.vec`) and gate-level netlists on ``"packed"``
+        (:func:`repro.netlist.compiled.resolve_backend`).  Execution
+        detail like ``jobs`` — never part of a result's identity.
     seed:
         Master seed; per-shard streams are spawned from it via
         :class:`numpy.random.SeedSequence`.
@@ -98,7 +103,7 @@ class RunConfig:
 
     ndigits: int = 8
     delta: int = 3
-    backend: str = "packed"
+    backend: str = "auto"
     seed: int = 2014
     jobs: int = field(default_factory=_default_jobs)
     cache_dir: Optional[str] = field(default_factory=_default_cache_dir)
@@ -167,13 +172,14 @@ class RunConfig:
     def describe(self) -> Dict[str, object]:
         """The fields that define *what* is computed (cache-key material).
 
-        Excludes ``jobs`` and ``cache_dir`` on purpose: they change how a
-        result is produced, never the result itself.
+        Excludes ``backend``, ``jobs`` and ``cache_dir`` on purpose: they
+        change how a result is produced, never the result itself (the
+        engines are bit-identical by contract), so a result computed on
+        one engine is served to every other.
         """
         return {
             "ndigits": self.ndigits,
             "delta": self.delta,
-            "backend": self.backend,
             "seed": self.seed,
             "shard_size": self.shard_size,
         }

@@ -12,7 +12,10 @@ Classic three-state breaker guarding the worker pool behind the service:
 * **half-open** — once ``reset_timeout`` has elapsed, a limited number
   of probe requests (``half_open_probes``) are allowed through; one
   success closes the breaker, one failure re-opens it and restarts the
-  cooldown.
+  cooldown.  A probe that ends without a verdict on the pool (an
+  evaluation error, a missed deadline, a cancel, a shed) hands its slot
+  back (:meth:`CircuitBreaker.release_probe`), so the next request
+  probes instead.
 
 State changes emit ``breaker.open`` / ``breaker.half_open`` /
 ``breaker.close`` trace events, bump the
@@ -126,6 +129,19 @@ class CircuitBreaker:
                 metrics().count("service.breaker.closed")
                 metrics().gauge("service.breaker_open", 0.0)
                 current_tracer().event("breaker.close")
+
+    def release_probe(self) -> None:
+        """A request allowed through ended without a verdict on the pool.
+
+        In half-open state its probe slot goes back, so the breaker
+        cannot stay half-open forever on probes that neither succeed nor
+        fail; in any other state there is nothing to return.
+        """
+        with self._lock:
+            if self._state == HALF_OPEN:
+                self._probes_left = min(
+                    self._probes_left + 1, self.half_open_probes
+                )
 
     def record_failure(self, reason: str = "") -> None:
         """A request's pool failed (the runner degraded to inline)."""

@@ -39,8 +39,9 @@ A request travels::
   the :class:`~repro.runners.parallel.ParallelRunner`, which retries
   and, if the pool keeps failing, finishes the run inline (still
   exact) and sets the token's ``degrade_reason``: the breaker's only
-  input.  Evaluation errors and missed deadlines leave the breaker
-  alone — the client picks the deadline.
+  input.  Evaluation errors and missed deadlines give the breaker no
+  verdict — the client picks the deadline — beyond handing a half-open
+  probe slot back.
 
 Evaluations run on a small resident :class:`~concurrent.futures.
 ThreadPoolExecutor` — the worker threads stay warm across requests, so
@@ -605,6 +606,7 @@ class EvalService:
         try:
             self.admission.try_acquire(req.kind)
         except ShedRequest as exc:
+            self.breaker.release_probe()
             return {
                 "ok": False,
                 "code": "shed",
@@ -686,27 +688,23 @@ class EvalService:
         except asyncio.TimeoutError:
             token.cancel("deadline exceeded")
             metrics().count("service.deadline_exceeded")
-            return {
-                "ok": False,
-                "code": "deadline",
-                "error": f"deadline of {req.deadline}s exceeded",
-                "id": req.id,
-            }
+            failed = {"code": "deadline",
+                      "error": f"deadline of {req.deadline}s exceeded"}
         except RunCancelled as exc:
-            return {"ok": False, "code": "cancelled", "error": str(exc),
-                    "id": req.id}
+            failed = {"code": "cancelled", "error": str(exc)}
         except Exception as exc:  # deterministic evaluation error
             metrics().count("service.errors")
-            return {
-                "ok": False,
-                "code": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "id": req.id,
-            }
+            failed = {"code": "error", "error": f"{type(exc).__name__}: {exc}"}
+        else:
+            failed = None
         finally:
             progress_bus().unsubscribe(subscription)
             for key in keys:
                 self._progress.pop(key, None)
+        if failed is not None:
+            # no verdict on the pool: a half-open probe hands its slot back
+            self.breaker.release_probe()
+            return {"ok": False, "id": req.id, **failed}
         # the answer is exact either way; a run the pool could not carry
         # (finished inline by the runner) counts against the pool
         if token.degrade_reason is not None:

@@ -23,11 +23,13 @@ Next to the identity key sits the **compatibility key** (``batch_key``):
 two requests with the same batch key differ only along an axis the
 vector engine evaluates in one pass anyway — the montecarlo depth grid,
 or the stage-sweep step grid — while everything that changes the sample
-stream or the evaluation semantics (geometry, backend, seed, shard
-size, sample budget, deadline) is part of the key.  The service's
-micro-batcher merges same-``batch_key`` requests into one fused
-evaluation; synthesis requests have no batchable axis and carry
-``batch_key=None``.
+stream or the evaluation semantics (geometry, seed, shard size, sample
+budget, deadline) is part of the key.  The engine (``backend``) is in
+neither key: the engines are bit-identical, so requests that differ
+only in their engine share one cache entry, one coalesced evaluation
+and one batch class.  The service's micro-batcher merges
+same-``batch_key`` requests into one fused evaluation; synthesis
+requests have no batchable axis and carry ``batch_key=None``.
 """
 
 from __future__ import annotations
@@ -64,9 +66,10 @@ ADMIN_KINDS = ("healthz", "readyz", "stats", "statsz", "metricsz")
 #: able to monopolize the pool for minutes
 MAX_SAMPLES = 200_000
 
-#: ceiling on a request's ``ndigits``/``delta``: far past the paper's
-#: designs, and low enough that parsing one request (whose default depth
-#: grid has ``ndigits`` entries) cannot allocate without bound
+#: ceiling on a request's ``ndigits``/``delta`` and synthesis
+#: ``wordlengths``: far past the paper's designs, and low enough that
+#: parsing one request (whose default depth grid has ``ndigits`` entries)
+#: cannot allocate without bound
 MAX_NDIGITS = 64
 
 _ALLOWED_PARAMS = {
@@ -108,9 +111,9 @@ def batch_compatibility_key(
     """Compatibility class of one request for the service micro-batcher.
 
     Everything but the depth/step grid must match for two requests to
-    fuse: the :meth:`RunConfig.describe` fields (geometry, backend,
-    seed, shard size) pin the sample stream, ``samples`` pins the shard
-    layout, and ``deadline`` keeps the fused evaluation's cancellation
+    fuse: the :meth:`RunConfig.describe` fields (geometry, seed, shard
+    size) pin the sample stream, ``samples`` pins the shard layout,
+    and ``deadline`` keeps the fused evaluation's cancellation
     semantics identical to each member's solo run.  Only montecarlo and
     sweep requests batch — synthesis has no shared-grid axis.
     """
@@ -146,7 +149,9 @@ def _int_field(params: Mapping, name: str, default: int, lo: int, hi: int) -> in
     return value
 
 
-def _int_list(params: Mapping, name: str) -> Optional[Tuple[int, ...]]:
+def _int_list(
+    params: Mapping, name: str, lo: int = 0, hi: Optional[int] = None
+) -> Optional[Tuple[int, ...]]:
     value = params.get(name)
     if value is None:
         return None
@@ -154,9 +159,13 @@ def _int_list(params: Mapping, name: str) -> Optional[Tuple[int, ...]]:
         raise RequestError(f"{name} must be a non-empty list of integers")
     out = []
     for v in value:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if (
+            not isinstance(v, int) or isinstance(v, bool) or v < lo
+            or (hi is not None and v > hi)
+        ):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise RequestError(
-                f"{name} entries must be integers >= 0, got {v!r}"
+                f"{name} entries must be integers {bound}, got {v!r}"
             )
         out.append(v)
     return tuple(out)
@@ -290,7 +299,7 @@ def parse_request(
         raise RequestError(
             f"target_{metric} must be a finite number, got {value!r}"
         )
-    wordlengths = _int_list(params, "wordlengths")
+    wordlengths = _int_list(params, "wordlengths", lo=1, hi=MAX_NDIGITS)
     periods = _float_list(params, "periods")
     norm = {
         "samples": samples,

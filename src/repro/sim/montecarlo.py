@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.conversion import digits_to_scaled_int
 from repro.core.online_multiplier import OnlineMultiplier
+from repro.netlist.compiled import resolve_backend
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_for, cache_key
 from repro.runners.config import RunConfig
@@ -255,12 +256,12 @@ def run_montecarlo(
     budget is split into ``config.shard_size`` shards with seeds spawned
     from ``config.seed``, shards run on ``config.jobs`` worker processes,
     and the per-shard exact partials merge in shard order — so the result
-    depends on ``(seed, shard_size, num_samples)`` but never on ``jobs``.
-    With ``config.cache_dir`` set, repeated runs are served from the
-    persistent cache.  ``config.backend`` selects the wave engine per
-    shard — ``"vector"`` runs the digit-level behavioral engine
-    (:mod:`repro.vec`), bit-identical to ``"packed"``/``"wave"`` and far
-    faster on large batches.
+    depends on ``(seed, shard_size, num_samples)`` but never on ``jobs``
+    or the engine.  With ``config.cache_dir`` set, repeated runs are
+    served from the persistent cache.  ``config.backend`` selects the
+    wave engine per shard — the default ``"auto"`` runs the digit-level
+    behavioral engine (:mod:`repro.vec`), bit-identical to
+    ``"packed"``/``"wave"`` and far faster.
     """
     if depths is None:
         depths = default_depths(config.ndigits, config.delta)
@@ -272,12 +273,13 @@ def run_montecarlo(
         config, num_samples, list(depths_arr)
     )
     key = cache_key(**key_components)
+    engine = resolve_backend(config.backend)
     runner = runner or ParallelRunner.from_config(config)
     with tracer.span(
         "run.montecarlo",
         ndigits=config.ndigits,
         delta=config.delta,
-        backend=config.backend,
+        backend=engine,
         num_samples=int(num_samples),
         depths=[int(b) for b in depths_arr],
     ):
@@ -285,7 +287,7 @@ def run_montecarlo(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    "montecarlo", cache="hit", backend=config.backend
+                    "montecarlo", cache="hit", backend=engine
                 )
                 return attach_metrics(hit)
 
@@ -295,7 +297,7 @@ def run_montecarlo(
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
-                "backend": config.backend,
+                "backend": engine,
                 "depths": [int(b) for b in depths_arr],
                 "seed_seq": ss,
                 "samples": m,
@@ -318,7 +320,7 @@ def run_montecarlo(
         result.run_stats = runner.finalize_stats(
             "montecarlo",
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            backend=engine,
         )
         attach_metrics(result)
     return result
@@ -336,13 +338,14 @@ def run_settle_histogram(
     ``config.jobs``.  Returns a plain dict (not cached — recomputation is
     cheap and the dict is not a :class:`~repro.runners.results.Result`).
     """
+    engine = resolve_backend(config.backend)
     sizes = split_samples(num_samples, config.shard_size)
     seeds = spawn_seeds(config.seed, len(sizes), seed_tag("settle"))
     payloads = [
         {
             "ndigits": config.ndigits,
             "delta": config.delta,
-            "backend": config.backend,
+            "backend": engine,
             "seed_seq": ss,
             "samples": m,
         }
@@ -353,7 +356,7 @@ def run_settle_histogram(
         "run.settle_histogram",
         ndigits=config.ndigits,
         delta=config.delta,
-        backend=config.backend,
+        backend=engine,
         num_samples=int(num_samples),
     ):
         parts = runner.map(_settle_shard_worker, payloads, samples=sizes)
@@ -361,7 +364,7 @@ def run_settle_histogram(
         for part in parts:
             for depth, c in part.items():
                 counts[depth] = counts.get(depth, 0) + c
-        runner.finalize_stats("settle_histogram", backend=config.backend)
+        runner.finalize_stats("settle_histogram", backend=engine)
     return {
         depth: counts[depth] / num_samples for depth in sorted(counts)
     }
@@ -374,7 +377,7 @@ def settle_depth_histogram(
     num_samples: int = 20000,
     seed: int = 2014,
     delta: int = 3,
-    backend: str = "packed",
+    backend: str = "auto",
 ) -> dict:
     """Empirical distribution of per-sample settling depths.
 
@@ -415,7 +418,7 @@ def mc_expected_error(
     seed: int = 2014,
     delta: int = 3,
     depths: Optional[List[int]] = None,
-    backend: str = "packed",
+    backend: str = "auto",
 ) -> MonteCarloResult:
     """Monte-Carlo ``E|eps|`` versus sampling depth for an ``N``-digit OM.
 
@@ -435,8 +438,8 @@ def mc_expected_error(
     depths:
         Sampling depths ``b`` to report (default: ``delta+1 .. N+delta``).
     backend:
-        Wave-evaluation engine, ``"packed"`` (default) or ``"wave"``;
-        both are bit-identical (``tests/sim/test_determinism.py``), so
+        Wave-evaluation engine (default ``"auto"``, i.e. vector); all
+        engines are bit-identical (``tests/sim/test_determinism.py``), so
         every statistic is backend-independent.
     """
     warnings.warn(

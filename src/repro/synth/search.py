@@ -226,12 +226,9 @@ def _quantize(raw: np.ndarray, ndigits: int) -> np.ndarray:
 
     Round-half-away-from-zero, clamped to ``+/-(2**ndigits - 1)`` so the
     quantized value stays a valid fraction-shaped operand.
+    :func:`run_synthesis` keeps *ndigits* within ``[1, REF_FRAC]``.
     """
     shift = REF_FRAC - ndigits
-    if shift < 0:
-        raise ValueError(
-            f"wordlength {ndigits} exceeds reference precision {REF_FRAC}"
-        )
     half = 1 << (shift - 1) if shift else 0
     mag = (np.abs(raw) + half) >> shift if shift else np.abs(raw)
     q = np.sign(raw) * mag
@@ -482,6 +479,11 @@ def run_synthesis(
     if wordlengths is None:
         wordlengths = (config.ndigits,)
     wordlengths = sorted({int(n) for n in wordlengths})
+    if not wordlengths or wordlengths[0] < 1 or wordlengths[-1] > REF_FRAC:
+        raise ValueError(
+            f"wordlengths must lie in [1, {REF_FRAC}] (the reference "
+            f"precision), got {wordlengths}"
+        )
     tracer = current_tracer()
     cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
@@ -771,7 +773,7 @@ def run_synthesis(
                 if cache is None
                 else ("hit" if groups and not pending else "miss")
             ),
-            backend=config.backend,
+            backend="vector",
         )
         attach_metrics(report)
     return report

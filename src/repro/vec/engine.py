@@ -64,6 +64,8 @@ bit-exactness claim against both gate-level engines.
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -149,14 +151,49 @@ def _bs_add_planes(
 _CHUNK = 4096
 
 
+#: scratch bytes a thread keeps between calls, at most: a larger
+#: workspace (long words at full chunk width) is allocated for its call
+#: alone, so one big request cannot pin its memory for the process's life
+_ARENA_MAX_BYTES = 1 << 22
+
+_arena = threading.local()
+
+
+def _arena_bytes(nbytes: int) -> np.ndarray:
+    """This thread's scratch buffer, grown to the largest workspace yet.
+
+    Every vector evaluation on a thread carves its :class:`_Workspace`
+    out of this one buffer, so a long-running process holds one bounded
+    workspace per thread instead of allocating (and page-faulting in)
+    megabytes per call.  Valid until the next workspace on this thread.
+    """
+    if nbytes > _ARENA_MAX_BYTES:
+        return np.empty(nbytes, dtype=np.uint8)
+    buf = getattr(_arena, "buf", None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        _arena.buf = buf
+    return buf
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // 64) * 64
+
+
 class _Workspace:
-    """Preallocated scratch for one :func:`om_wave_vector` call.
+    """Scratch for one :func:`om_wave_vector` call, carved from the arena.
 
     Every buffer the chunk loop touches lives here and is reused across
     chunks — repeated `np.zeros`/`np.empty` of 100KB+ arrays would fall
     into the allocator's mmap regime and pay page-fault costs on every
-    chunk.  ``view(c)`` returns the buffers sliced to the width of the
-    current (possibly final, partial) chunk.
+    chunk.  The buffers live in this thread's arena
+    (:func:`_arena_bytes`), so they are reused across calls too.  Two
+    groups of buffers are never live at once and share their bytes: the
+    ``H``-plane scratch of :func:`_h_planes` (``av``, ``bv``, ``b1``,
+    ``hh``) and the tick loop's state and scratch.  Nothing carries
+    over between chunks or calls: each chunk initialises what it reads.
+    ``view(c)`` returns the buffers sliced to the width of the current
+    (possibly final, partial) chunk.
     """
 
     def __init__(self, n: int, delta: int, c: int) -> None:
@@ -165,43 +202,61 @@ class _Workspace:
         tp = npos - 3
         ka_max = max(n - 1, 1)
         k_max = s_tot - 1
-        i8, bl = np.int8, bool
-        self.state = np.zeros((s_tot, npos, c), i8)
-        self.state0 = np.zeros((npos, c), i8)
-        self.z_state = np.zeros((n, c), i8)
-        self.hp1 = np.zeros((n, tp, c), i8)
-        self.hn1 = np.ones((n, tp, c), i8)
+        nb = n - 1
+        i8, bl = np.int8, np.bool_
         # one zeroed pad column on the adder scratch lets q - pc_next be
         # a single full-width subtract (the boundary pc reads as 0)
-        self.g = np.empty((ka_max, tp + 1, c), i8)
-        self.m = np.empty((ka_max, tp + 1, c), i8)
-        self.tcopy = np.empty((delta, tp, c), i8)
-        self.vq = np.empty((k_max, c), i8)
-        self.z = np.empty((k_max, c), i8)
-        self.r = np.empty((k_max, c), i8)
-        self.ba = np.empty((k_max, c), bl)
-        self.bb = np.empty((k_max, c), bl)
+        shared = [
+            ("hp1", (n, tp, c), i8),
+            ("hn1", (n, tp, c), i8),
+            ("g", (ka_max, tp + 1, c), i8),
+            ("m", (ka_max, tp + 1, c), i8),
+        ]
+        h_scratch = [
+            ("av", (nb, tp, c), i8),
+            ("bv", (nb, tp, c), i8),
+            ("b1", (nb, tp, c), bl),
+            ("hh", (nb, tp, c), bl),
+        ] if n > 1 else []
+        tick_scratch = [
+            ("state", (s_tot, npos, c), i8),
+            ("state0", (npos, c), i8),
+            ("z_state", (n, c), i8),
+            ("tcopy", (delta, tp, c), i8),
+            ("vq", (k_max, c), i8),
+            ("z", (k_max, c), i8),
+            ("r", (k_max, c), i8),
+            ("ba", (k_max, c), bl),
+            ("bb", (k_max, c), bl),
+        ]
+
+        def span(specs) -> int:
+            return sum(_aligned(math.prod(shape)) for _, shape, _ in specs)
+
+        base = span(shared)
+        arena = _arena_bytes(base + max(span(h_scratch), span(tick_scratch)))
+
+        def carve(specs, offset: int) -> None:
+            for name, shape, dtype in specs:
+                size = math.prod(shape)  # int8 and bool: 1 byte each
+                buf = arena[offset : offset + size].view(dtype)
+                setattr(self, name, buf.reshape(shape))
+                offset += _aligned(size)
+
+        carve(shared, 0)
+        carve(h_scratch, base)
+        carve(tick_scratch, base)
         #: per-stage selection mask (j = idx - delta >= 0 carries sel)
         self.emit = (np.arange(s_tot) >= delta).astype(i8)[:, None]
         if n > 1:
-            nb = n - 1
             rows = np.arange(1, n)[:, None, None]  # stage index
             cols = np.arange(n)[None, :, None]  # appended-digit offset
             self.mask_a = (cols <= rows).astype(i8)
             self.mask_b = (cols < rows).astype(i8)
-            self.px = np.empty((nb, n, c), i8)
-            self.py = np.empty((nb, n, c), i8)
-            # zero outside the product block, which is rewritten per chunk
-            self.av = np.zeros((nb, tp, c), i8)
-            self.bv = np.zeros((nb, tp, c), i8)
-            self.b1 = np.empty((nb, tp, c), bl)
             # t1/t2 alias the adder scratch: _h_planes runs before the
             # tick loop touches g/m, and their pad column is untouched
             self.t1 = self.g.view(bl)[:, :tp]
             self.t2 = self.m.view(bl)[:, :tp]
-            self.gb = np.empty((nb, tp, c), bl)
-            self.hh = np.empty((nb, tp, c), bl)
-            self.bn = np.empty((nb, tp, c), bl)
 
     def view(self, c: int) -> "_Workspace":
         if c == self.state.shape[-1]:
@@ -212,6 +267,32 @@ class _Workspace:
             for name, arr in self.__dict__.items()
         }
         return clone
+
+
+def _run_chunks(
+    n: int,
+    delta: int,
+    ticks: int,
+    xv: np.ndarray,
+    yv: np.ndarray,
+    out: np.ndarray,
+    emit_rows: Optional[np.ndarray] = None,
+) -> None:
+    """Run :func:`_wave_chunk` over the sample axis in ``_CHUNK`` blocks."""
+    num_samples = xv.shape[1]
+    ws = _Workspace(n, delta, min(_CHUNK, num_samples))
+    for lo in range(0, num_samples, _CHUNK):
+        hi = min(lo + _CHUNK, num_samples)
+        _wave_chunk(
+            n,
+            delta,
+            ticks,
+            xv[:, lo:hi],
+            yv[:, lo:hi],
+            out[:, :, lo:hi],
+            ws.view(hi - lo),
+            emit_rows=emit_rows,
+        )
 
 
 def om_wave_vector(
@@ -265,12 +346,7 @@ def om_wave_vector(
     xv = xv.astype(np.int8, copy=False)
     yv = yv.astype(np.int8, copy=False)
     out = np.zeros((ticks + 1, n, num_samples), dtype=np.int8)
-    ws = _Workspace(n, delta, min(_CHUNK, num_samples))
-    for lo in range(0, num_samples, _CHUNK):
-        hi = min(lo + _CHUNK, num_samples)
-        _wave_chunk(
-            n, delta, ticks, xv[:, lo:hi], yv[:, lo:hi], out[:, :, lo:hi], ws.view(hi - lo)
-        )
+    _run_chunks(n, delta, ticks, xv, yv, out)
     return out
 
 
@@ -289,23 +365,28 @@ def _h_planes(n: int, delta: int, xv: np.ndarray, yv: np.ndarray, ws: _Workspace
     npos = n + delta + 1
     tp = npos - 3
     if n > 1:
-        av, bv, b1, t1, t2 = ws.av, ws.bv, ws.b1, ws.t1, ws.t2
-        g, hh, bn = ws.gb, ws.hh, ws.bn
-        # px[idx-1, k] = x_{idx+1} y_{k+1}, zeroed beyond each stage's range
-        np.multiply(xv[1:, None], yv[None, :], out=ws.px)
-        np.multiply(yv[1:, None], xv[None, :], out=ws.py)
-        ws.px *= ws.mask_a
-        ws.py *= ws.mask_b
-        av[:, delta - 2 : delta - 2 + n] = ws.px  # position delta+1+k
-        bv[:, delta - 2 : delta - 2 + n] = ws.py
-        # layer 1 (collapsed on the canonical first operand)
+        av, bv, b1, hh, t1, t2 = ws.av, ws.bv, ws.b1, ws.hh, ws.t1, ws.t2
+        # av[idx-1, delta-2+k] = x_{idx+1} y_{k+1} (position delta+1+k),
+        # zeroed beyond each stage's range and outside the product block
+        pa = av[:, delta - 2 : delta - 2 + n]
+        pb = bv[:, delta - 2 : delta - 2 + n]
+        av.fill(0)
+        bv.fill(0)
+        np.multiply(xv[1:, None], yv[None, :], out=pa)
+        np.multiply(yv[1:, None], xv[None, :], out=pb)
+        pa *= ws.mask_a
+        pb *= ws.mask_b
+        # layer 1 (collapsed on the canonical first operand); the carry
+        # g overwrites av and the borrow bn overwrites bv, each read last
         np.equal(bv, 1, out=b1)
-        np.equal(av, 0, out=t1)
-        t1 &= b1
-        np.equal(av, 1, out=g)
-        g |= t1
         np.not_equal(av, 0, out=t1)
         np.bitwise_xor(b1, t1, out=hh)
+        np.logical_not(t1, out=t1)
+        t1 &= b1
+        g = av.view(np.bool_)
+        np.equal(av, 1, out=g)
+        g |= t1
+        bn = bv.view(np.bool_)
         np.equal(bv, -1, out=bn)
         # zp_i = hh_i ^ bn_i ^ g_{i+1}   (missing carry reads as 0)
         np.bitwise_xor(hh, bn, out=t1)
@@ -359,6 +440,7 @@ def _wave_chunk(
     # stage 0: P' = 2 * H with H = 2**-delta * x_1 * y_1 — constant from
     # tick 1 onwards (appending logic is free, as in the paper)
     state0 = ws.state0
+    state0.fill(0)
     state0[delta] = xv[0] * yv[0]
 
     state = ws.state

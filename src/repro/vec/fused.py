@@ -40,7 +40,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.conversion import digits_to_scaled_int
-from repro.vec.engine import _CHUNK, _Workspace, _wave_chunk
+from repro.vec.engine import _run_chunks
 
 __all__ = [
     "om_sweep_vector",
@@ -116,19 +116,7 @@ def om_sweep_vector(
     # state the tick loop would copy there.
     emit_rows = np.full(ticks + 1, -1, dtype=np.int64)
     emit_rows[unique] = np.arange(len(unique))
-    ws = _Workspace(n, delta, min(_CHUNK, num_samples))
-    for lo in range(0, num_samples, _CHUNK):
-        hi = min(lo + _CHUNK, num_samples)
-        _wave_chunk(
-            n,
-            delta,
-            ticks,
-            xv[:, lo:hi],
-            yv[:, lo:hi],
-            out[:, :, lo:hi],
-            ws.view(hi - lo),
-            emit_rows=emit_rows,
-        )
+    _run_chunks(n, delta, ticks, xv, yv, out, emit_rows=emit_rows)
     return out[inverse]
 
 

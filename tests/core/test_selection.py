@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.core.selection import (
     NUM_INPUT_BITS,
     estimate_quarters,
@@ -108,6 +110,14 @@ class TestTables:
             assert t["zp"][idx] - t["zn"][idx] == z
             assert t["r1p"][idx] - t["r1n"][idx] == r1
             assert t["r2p"][idx] - t["r2n"][idx] == r2
+
+    def test_tables_are_built_once_and_read_only(self):
+        t = selection_tables(True)
+        assert selection_tables(True) is t
+        with pytest.raises(TypeError):
+            t["zp"] = [0] * 256
+        with pytest.raises(TypeError):
+            t["zp"][0] = 1
 
     def test_z_never_both_rails(self):
         t = selection_tables(True)

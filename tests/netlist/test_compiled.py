@@ -154,10 +154,30 @@ def test_fingerprint_tracks_mutation():
 # ------------------------------------------------------------------ dispatch
 
 def test_resolve_backend():
-    for name in BACKENDS:
+    for name in ("packed", "wave", "vector"):
         assert resolve_backend(name) == name
+        assert resolve_backend(name, netlist=True) == name
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend("quantum")
+
+
+def test_auto_is_vector_for_waves_and_packed_for_netlists():
+    assert "auto" in BACKENDS
+    assert resolve_backend("auto") == "vector"
+    assert resolve_backend("auto", netlist=True) == "packed"
+
+
+def test_default_netlist_simulator_needs_no_vector_fallback():
+    from repro.obs.metrics import metrics
+
+    metrics().reset()
+    assert isinstance(make_simulator(_toy_circuit()), CompiledCircuit)
+    assert "vec.netlist_fallbacks" not in metrics().snapshot()["counters"]
+    # an explicit vector request on a netlist is the counted substitution
+    assert isinstance(
+        make_simulator(_toy_circuit(), backend="vector"), CompiledCircuit
+    )
+    assert metrics().snapshot()["counters"]["vec.netlist_fallbacks"] == 1
 
 
 def test_make_simulator_dispatch():

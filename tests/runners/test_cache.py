@@ -5,6 +5,7 @@ import contextlib
 import json
 import resource
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.runners import (
     cache_for,
     cache_key,
 )
+from repro.runners.cache import CACHE_FORMAT_VERSION
 from repro.sim.montecarlo import run_montecarlo
 from repro.sim.sweep import SweepResult
 
@@ -141,6 +143,32 @@ class TestCorruption:
         assert list((tmp_path / QUARANTINE_DIR).iterdir())
         # the caller's recompute overwrites cleanly and hits afterwards
         cache.put(key, make_sweep(), {})
+        assert isinstance(cache.get(key), SweepResult)
+
+    def test_entry_from_an_older_format_is_a_clean_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # the format version is hashed into every key, so an entry
+        # written before a bump is never looked up again: no warning,
+        # no quarantine, and the recompute stores beside it
+        from repro.runners import cache as cache_mod
+
+        components = dict(experiment="montecarlo", num_samples=100)
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(
+            cache_mod, "CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION - 1
+        )
+        old_key = cache_key(**components)
+        cache.put(old_key, make_sweep(), components)
+        monkeypatch.undo()
+        key = cache_key(**components)
+        assert key != old_key
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cache.get(key) is None
+        assert cache.stats()["corrupt"] == 0
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+        cache.put(key, make_sweep(), components)
         assert isinstance(cache.get(key), SweepResult)
 
     def test_format_version_mismatch_is_corruption(self, tmp_path):
@@ -342,6 +370,31 @@ class TestStaleTmpSweep:
         ResultCache(tmp_path)
         assert not stale.exists()  # unambiguously dead: swept
         assert fresh.exists()  # possibly live writer: untouched
+
+    def test_a_process_sweeps_a_directory_once_per_window(
+        self, tmp_path, monkeypatch
+    ):
+        # entry points open a cache per run: re-reading the whole
+        # directory each time cost time and memory per stored entry
+        import os
+        import time
+
+        from repro.runners import cache as cache_mod
+        from repro.runners.cache import STALE_TMP_SECONDS
+
+        old = time.time() - STALE_TMP_SECONDS - 120
+        ResultCache(tmp_path)
+        stale = tmp_path / "0123456789ab.tmp"
+        stale.write_bytes(b"x")
+        os.utime(stale, (old, old))
+        ResultCache(tmp_path)
+        assert stale.exists()  # swept at the first open, not again
+        now = time.time()
+        monkeypatch.setattr(
+            cache_mod.time, "time", lambda: now + STALE_TMP_SECONDS + 1
+        )
+        ResultCache(tmp_path)
+        assert not stale.exists()  # the window elapsed: swept again
 
     def test_sweep_tolerates_concurrent_unlink(self, tmp_path):
         # racing caches must both open fine even if one sweeps first

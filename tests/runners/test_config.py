@@ -12,7 +12,7 @@ class TestDefaults:
         config = RunConfig()
         assert config.ndigits == 8
         assert config.delta == 3
-        assert config.backend == "packed"
+        assert config.backend == "auto"
         assert config.seed == 2014
         assert config.jobs == 1
         assert config.cache_dir is None
@@ -108,6 +108,12 @@ class TestDescribe:
         a = RunConfig(jobs=1, cache_dir=None)
         b = RunConfig(jobs=8, cache_dir=str(tmp_path), shard_timeout=5.0)
         assert a.describe() == b.describe()
+
+    def test_engine_is_not_identity(self):
+        described = RunConfig(backend="packed").describe()
+        assert "backend" not in described
+        for backend in ("auto", "vector", "wave"):
+            assert RunConfig(backend=backend).describe() == described
 
     def test_statistical_identity_differs(self):
         assert RunConfig().describe() != RunConfig(shard_size=100).describe()

@@ -97,6 +97,27 @@ class TestOpenAndHalfOpen:
         clock.advance(0.2)
         assert breaker.allow()
 
+    def test_probe_without_a_verdict_returns_its_slot(self):
+        breaker, clock = self._tripped()
+        clock.advance(5.1)
+        assert breaker.allow()
+        assert not breaker.allow()
+        breaker.release_probe()  # the probe errored, missed its deadline...
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow()  # ... so the next request probes instead
+        breaker.release_probe()
+        breaker.release_probe()  # never more slots than configured
+        assert breaker.allow()
+        assert not breaker.allow()
+
+    def test_release_outside_half_open_changes_nothing(self):
+        breaker, clock = self._tripped()
+        breaker.release_probe()
+        assert breaker.state == OPEN and not breaker.allow()
+        fresh = make()
+        fresh.release_probe()
+        assert fresh.state == CLOSED and fresh.allow()
+
     def test_multiple_probe_slots(self):
         clock = FakeClock()
         breaker = make(clock, half_open_probes=3)

@@ -24,6 +24,7 @@ from repro.runners.parallel import CancelToken, RunCancelled
 from repro.service import EvalService, ServiceClient, ServiceConfig
 from repro.service.daemon import MAX_LINE_BYTES, evaluate_request
 from repro.service.requests import parse_request
+from repro.synth.search import REF_FRAC
 
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, shard_size=500, cache_dir=None)
@@ -32,6 +33,10 @@ BASE = RunConfig(ndigits=3, seed=7, jobs=1, shard_size=500, cache_dir=None)
 #: the runner loses each pool it tries and finishes the run inline
 TIMEOUT_FAULT = BASE.with_(jobs=2, shard_timeout=0.001)
 TIMEOUT_REASON = "shard exceeded shard_timeout=0.001s"
+
+#: a real deterministic evaluator error: parse accepts wordlengths up to
+#: MAX_NDIGITS, synthesis verification only up to its reference precision
+BAD_SYNTHESIS = {"samples": 100, "wordlengths": [REF_FRAC + 1]}
 
 
 def service_config(**overrides):
@@ -350,6 +355,36 @@ class TestBreakerAndDegradation:
         assert probe["result"]["depths"] == [4]
         assert state == "closed"
 
+    def test_probe_ending_in_an_error_returns_its_slot(self):
+        """A half-open probe with no verdict must not strand the breaker."""
+        async def main():
+            service, client = await started(
+                service_config(run_config=TIMEOUT_FAULT, failure_threshold=1)
+            )
+            first = await client.request(
+                "montecarlo", {"samples": 1000, "depths": [4]}
+            )
+            opened = service.breaker.state
+            service.config = dataclasses.replace(
+                service.config, run_config=BASE
+            )
+            await asyncio.sleep(0.25)  # past reset_timeout
+            probe = await client.request("synthesis", BAD_SYNTHESIS)
+            after = await client.request(
+                "montecarlo", {"samples": 300, "depths": [4]}
+            )
+            state = service.breaker.state
+            await finish(service, client)
+            return first, opened, probe, after, state
+
+        first, opened, probe, after, state = asyncio.run(main())
+        assert first["ok"] is True and opened == "open"
+        assert probe["ok"] is False and probe["code"] == "error"
+        # the errored probe handed its slot back: the next request probes
+        assert after["ok"] is True and "degraded" not in after
+        assert after["result"] == solo({"samples": 300, "depths": [4]})
+        assert state == "closed"
+
     def test_degraded_montecarlo_answer_has_model_rows(self):
         config = service_config(
             run_config=TIMEOUT_FAULT, failure_threshold=1, reset_timeout=60.0
@@ -416,9 +451,7 @@ class TestFaultTable:
 
         async def main():
             service, client = await started(config, evaluator)
-            resp = await client.request(
-                "synthesis", {"samples": 100, "wordlengths": [0]}
-            )
+            resp = await client.request("synthesis", BAD_SYNTHESIS)
             state = service.breaker.state
             await finish(service, client)
             return resp, state
@@ -426,6 +459,7 @@ class TestFaultTable:
         resp, state = asyncio.run(main())
         assert resp["ok"] is False and resp["code"] == "error"
         assert "ValueError" in resp["error"]
+        assert "reference precision" in resp["error"]
         assert state == "closed"
         assert len(calls) == 1
         assert metrics().snapshot()["counters"]["service.errors"] == 1

@@ -58,6 +58,32 @@ class TestMonteCarlo:
         assert b.config.seed == 8
 
 
+class TestEngineIsNotIdentity:
+    """The engine is an execution detail: every key ignores it."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("montecarlo", {"samples": 500, "depths": [2, 4]}),
+            ("sweep", {"samples": 500, "steps": [2, 4]}),
+            ("synthesis", {"samples": 100, "datapath": "mac"}),
+        ],
+    )
+    def test_keys_equal_under_every_engine(self, kind, params):
+        reqs = [
+            parse({"kind": kind, "params": dict(params, backend=backend)})
+            for backend in ("packed", "vector", "auto")
+        ]
+        reqs.append(parse({"kind": kind, "params": params}))
+        assert len({r.key for r in reqs}) == 1
+        assert len({r.cache_key for r in reqs}) == 1
+        assert len({r.batch_key for r in reqs}) == 1
+        # the engine a request names is still the one it runs on
+        assert [r.config.backend for r in reqs] == [
+            "packed", "vector", "auto", BASE.backend
+        ]
+
+
 class TestSweep:
     def test_key_matches_the_stage_sweep_key(self):
         req = parse({"kind": "sweep",
@@ -115,6 +141,10 @@ class TestValidation:
             {"kind": "montecarlo", "params": "nope"},
             {"kind": "sweep", "params": {"periods": [0.0]}},
             {"kind": "montecarlo", "params": {"ndigits": MAX_NDIGITS + 1}},
+            {"kind": "synthesis", "params": {"wordlengths": [0]}},
+            {"kind": "synthesis", "params": {"wordlengths": [4, -1]}},
+            {"kind": "synthesis",
+             "params": {"wordlengths": [MAX_NDIGITS + 1]}},
         ],
     )
     def test_rejected(self, message):

@@ -10,6 +10,7 @@ from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
 from repro.synth.search import (
     DEFAULT_PERIODS,
+    REF_FRAC,
     AccuracyTarget,
     enumerate_assignments,
     run_synthesis,
@@ -91,6 +92,13 @@ class TestEnumeration:
         dp.output("y", dp.input("x"))
         with pytest.raises(ValueError, match="no operators"):
             run_synthesis(_config(), dp, TARGET)
+
+    @pytest.mark.parametrize("wordlengths", [[0], [REF_FRAC + 1]])
+    def test_wordlengths_outside_the_reference_precision_rejected(
+        self, prodsum, wordlengths
+    ):
+        with pytest.raises(ValueError, match="reference precision"):
+            run_synthesis(_config(), prodsum, TARGET, wordlengths=wordlengths)
 
 
 class TestAcceptance:

@@ -132,13 +132,39 @@ class TestRunnerContract:
         np.testing.assert_array_equal(
             first.mean_abs_error, second.mean_abs_error
         )
-        # packed must not be served the vector entry (nor vice versa) —
-        # the backend is part of the cache key even though results match
+        # the engine is an execution detail: packed is served the vector
+        # entry (the results are bit-identical by contract) ...
         packed = run_montecarlo(
             RunConfig(ndigits=6, backend="packed", cache_dir=str(tmp_path)),
             2000,
         )
-        assert packed.run_stats.cache == "miss"
+        assert packed.run_stats.cache == "hit"
         np.testing.assert_array_equal(
             packed.mean_abs_error, first.mean_abs_error
         )
+        # ... while a different sample stream is keyed apart
+        reseeded = run_montecarlo(cfg.with_(seed=7), 2000)
+        assert reseeded.run_stats.cache == "miss"
+
+
+class TestEngineRule:
+    """The ``"auto"`` default: vector for OM waves, packed for netlists."""
+
+    def test_default_runs_waves_on_vector_and_netlists_on_packed(self):
+        from repro.obs.metrics import metrics
+        from repro.sim.sweep import run_sweep
+
+        config = RunConfig(ndigits=4, jobs=1, cache_dir=None)
+        assert config.backend == "auto"
+        metrics().reset()
+        run_montecarlo(config, 500)
+        snapshot = metrics().snapshot()
+        assert snapshot["counters"]["vec.samples"] == 500
+        assert "samples_per_sec.vector" in snapshot["gauges"]
+
+        metrics().reset()
+        run_sweep(config, num_samples=64)  # gate-level netlist sweep
+        snapshot = metrics().snapshot()
+        assert "vec.netlist_fallbacks" not in snapshot["counters"]
+        assert "vec.samples" not in snapshot["counters"]
+        assert "samples_per_sec.packed" in snapshot["gauges"]
