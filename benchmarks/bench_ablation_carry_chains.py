@@ -23,8 +23,8 @@ from repro.sim.montecarlo import uniform_digit_batch
 from repro.sim.reporting import format_table
 from repro.sim.sweep import (
     OnlineMultiplierHarness,
+    SweepHarness,
     TraditionalMultiplierHarness,
-    _Harness,
 )
 
 N = 8
@@ -37,7 +37,7 @@ class _RippleBaseline(TraditionalMultiplierHarness):
 
     def __init__(self, width, delay_model):
         self.width = width
-        _Harness.__init__(
+        SweepHarness.__init__(
             self,
             build_array_multiplier(width, final_adder="ripple"),
             delay_model,
@@ -51,15 +51,22 @@ def test_ablation_carry_chains(benchmark):
     xs = rng.integers(-255, 256, SAMPLES)
     ys = rng.integers(-255, 256, SAMPLES)
 
+    def array_baseline(width, delay_model):
+        return TraditionalMultiplierHarness.from_spec(
+            "array-mult", width=width, delay_model=delay_model
+        )
+
     scenarios = [
-        ("LUT-only fabric", FpgaDelay, TraditionalMultiplierHarness),
+        ("LUT-only fabric", FpgaDelay, array_baseline),
         ("carry-chain fabric", CarryChainDelay, _RippleBaseline),
     ]
     rows = []
     gaps = {}
-    for label, delay_factory, baseline_cls in scenarios:
-        online = OnlineMultiplierHarness(N, delay_factory()).sweep(xd, yd)
-        trad = baseline_cls(N + 1, delay_factory()).sweep(xs, ys)
+    for label, delay_factory, baseline in scenarios:
+        online = OnlineMultiplierHarness.from_spec(
+            "online-mult", ndigits=N, delay_model=delay_factory()
+        ).sweep(xd, yd)
+        trad = baseline(N + 1, delay_factory()).sweep(xs, ys)
         for factor in FACTORS:
             e_o = online.at_normalized_frequency(factor)
             e_t = trad.at_normalized_frequency(factor)
@@ -92,7 +99,9 @@ def test_ablation_carry_chains(benchmark):
         assert gaps[("carry-chain fabric", factor)] > 5.0
 
     benchmark(
-        OnlineMultiplierHarness(N, CarryChainDelay()).sweep,
+        OnlineMultiplierHarness.from_spec(
+            "online-mult", ndigits=N, delay_model=CarryChainDelay()
+        ).sweep,
         xd[:, :500],
         yd[:, :500],
     )

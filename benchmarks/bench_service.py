@@ -390,14 +390,16 @@ def phase_shedding(num_requests):
 def phase_degraded(num_requests):
     """A real pool fault: the breaker opens, every request still answered."""
     metrics().reset()
+    # one 8-digit 5000-sample shard takes several ms on its own, so
+    # every shard overruns the 1 ms budget whatever the pool latency
     faulty = run_config(
-        ndigits=NDIGITS, jobs=2, shard_size=500, shard_timeout=0.001,
+        ndigits=8, jobs=2, shard_size=5000, shard_timeout=0.001,
         cache_dir=None,
     )
 
     async def body(service):
         requests = [
-            ("montecarlo", {"samples": 4000 + i, "depths": [4, 6]})
+            ("montecarlo", {"samples": 10000 + i, "depths": [4, 6]})
             for i in range(num_requests)
         ]
         # two at a time, so the breaker opens mid-phase

@@ -12,7 +12,8 @@ Run:  python examples/error_model_analysis.py [N]
 import sys
 
 from repro import OverclockingErrorModel
-from repro.sim import mc_expected_error
+from repro.runners import RunConfig
+from repro.sim import run_montecarlo
 from repro.sim.reporting import format_table
 
 
@@ -42,7 +43,7 @@ def main() -> None:
     print()
 
     print("=== model vs Monte-Carlo (Fig. 4 top row) ===")
-    mc = mc_expected_error(n, num_samples=20000, seed=1)
+    mc = run_montecarlo(RunConfig(ndigits=n, seed=1), num_samples=20000)
     rows = []
     for i, b in enumerate(mc.depths):
         b = int(b)

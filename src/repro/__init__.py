@@ -31,9 +31,6 @@ from repro.core.model import OverclockingErrorModel
 from repro.core.synthesis import (
     Datapath,
     SynthesizedDatapath,
-    explore_latency_accuracy,
-    choose_design,
-    DesignChoice,
 )
 from repro.numrep.signed_digit import SDNumber
 from repro.netlist import (
@@ -57,9 +54,6 @@ __all__ = [
     "OverclockingErrorModel",
     "Datapath",
     "SynthesizedDatapath",
-    "explore_latency_accuracy",
-    "choose_design",
-    "DesignChoice",
     "SDNumber",
     "Circuit",
     "WaveformSimulator",

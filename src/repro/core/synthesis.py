@@ -15,9 +15,9 @@ front-end:
 A :class:`SynthesizedDatapath` wraps the gate-level circuit together with
 operand encoding/decoding and the overclocking sweep, so the two designs
 can be compared at equal *normalized* frequencies — the comparison behind
-the paper's Tables 1-3.  :func:`explore_latency_accuracy` automates the
-paper's two design questions: best accuracy at a given frequency, and
-fastest frequency within a given error budget.
+the paper's Tables 1-3.  :func:`repro.synth.run_synthesis` answers the
+paper's two design questions on top of it: best accuracy at a given
+frequency, and fastest frequency within a given error budget.
 
 Spec-driven lowering
 --------------------
@@ -58,7 +58,7 @@ Structural rules
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -825,202 +825,3 @@ class SynthesizedDatapath:
             _result=result,
             _decode_fn=self._decode,
         )
-
-
-@dataclass
-class DesignChoice:
-    """Outcome of :func:`choose_design`: the recommended design point."""
-
-    arithmetic: str
-    clock_step: int
-    achieved_mre_percent: float
-    frequency_gain_vs_safest: float
-    area: AreaReport
-    alternatives: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-@dataclass
-class MeasuredDesign:
-    """One synthesized variant with its measured overclocking curve.
-
-    The shared currency of :func:`choose_design`,
-    :func:`explore_latency_accuracy` and the :mod:`repro.synth` search:
-    synthesize once, apply the operand batch, and keep the decoded
-    sweep plus the mean |output| that normalizes relative errors.
-    """
-
-    label: str
-    synthesized: SynthesizedDatapath
-    run: DatapathRun
-    mean_abs_out: float
-
-    def mre_percent(self, step: int) -> float:
-        err = self.run.mean_abs_error(step)
-        return 100.0 * err / self.mean_abs_out if self.mean_abs_out else 0.0
-
-
-def measure_design(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    arithmetic: str,
-    assignment: Optional[Mapping[str, str]] = None,
-    delay_model: Optional[DelayModel] = None,
-    label: Optional[str] = None,
-) -> MeasuredDesign:
-    """Synthesize one (style, assignment) variant and measure its curve."""
-    synth = datapath.synthesize(
-        arithmetic,
-        delay_model if delay_model is not None else FpgaDelay(),
-        assignment=assignment,
-    )
-    run = synth.apply(inputs)
-    mean_out = float(np.mean([np.abs(v).mean() for v in run.correct.values()]))
-    return MeasuredDesign(
-        label=label or synth.arithmetic,
-        synthesized=synth,
-        run=run,
-        mean_abs_out=mean_out,
-    )
-
-
-def _measured_variants(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    delay_model_factory,
-    assignments: Optional[Mapping[str, Mapping[str, str]]] = None,
-):
-    """The two pure styles plus any extra named assignments, measured."""
-    variants: List[MeasuredDesign] = []
-    for arithmetic in ("traditional", "online"):
-        variants.append(
-            measure_design(
-                datapath,
-                inputs,
-                arithmetic,
-                delay_model=delay_model_factory(),
-                label=arithmetic,
-            )
-        )
-    for label, assignment in (assignments or {}).items():
-        variants.append(
-            measure_design(
-                datapath,
-                inputs,
-                "online",
-                assignment=assignment,
-                delay_model=delay_model_factory(),
-                label=label,
-            )
-        )
-    return variants
-
-
-def choose_design(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    mre_budget_percent: float,
-    delay_model_factory=FpgaDelay,
-    assignments: Optional[Mapping[str, Mapping[str, str]]] = None,
-) -> DesignChoice:
-    """Pick the fastest (arithmetic, clock) pair within an error budget.
-
-    This is the paper's design methodology as a function: synthesize the
-    datapath both ways (plus any extra named *assignments*, e.g. the
-    mixed per-node choice of :func:`repro.synth.run_synthesis`), measure
-    each design's overclocking curve on the given operand distribution,
-    and return the combination with the highest absolute clock frequency
-    whose mean relative error stays within the budget.  Ties break
-    toward the smaller design.
-    """
-    if mre_budget_percent < 0:
-        raise ValueError("the error budget cannot be negative")
-    candidates: Dict[str, Dict[str, float]] = {}
-    best = None
-    for design in _measured_variants(
-        datapath, inputs, delay_model_factory, assignments
-    ):
-        run = design.run
-        best_step = None
-        achieved = 0.0
-        for step in range(run.error_free_step, 0, -1):
-            mre = design.mre_percent(step)
-            if mre <= mre_budget_percent:
-                best_step, achieved = step, mre
-            else:
-                break
-        if best_step is None:
-            continue
-        area = estimate_area(design.synthesized.circuit)
-        candidates[design.label] = {
-            "clock_step": float(best_step),
-            "mre_percent": achieved,
-            "luts": float(area.luts),
-        }
-        key = (1.0 / best_step, -area.luts)
-        if best is None or key > best[0]:
-            best = (
-                key,
-                DesignChoice(
-                    arithmetic=design.label,
-                    clock_step=best_step,
-                    achieved_mre_percent=achieved,
-                    frequency_gain_vs_safest=run.error_free_step / best_step
-                    - 1.0,
-                    area=area,
-                ),
-            )
-    if best is None:
-        raise ValueError(
-            "no design meets the error budget at any measured clock"
-        )
-    choice = best[1]
-    choice.alternatives = candidates
-    return choice
-
-
-def explore_latency_accuracy(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    budgets_percent: Sequence[float] = (0.01, 0.1, 1.0, 10.0),
-    frequency_factors: Sequence[float] = (1.05, 1.10, 1.15, 1.20, 1.25),
-    delay_model_factory=FpgaDelay,
-    assignments: Optional[Mapping[str, Mapping[str, str]]] = None,
-) -> Dict[str, object]:
-    """The paper's two design questions, answered for both syntheses.
-
-    Returns a dict with, per arithmetic (plus any extra named
-    *assignments*): area, rated/error-free periods, MRE at each
-    normalized overclock factor, and the achievable frequency speedup
-    within each MRE budget (None when a budget is never met — see
-    :meth:`repro.sim.sweep.SweepResult.speedup_at_budget` for the same
-    contract).
-    """
-    report: Dict[str, object] = {"factors": list(frequency_factors),
-                                 "budgets_percent": list(budgets_percent)}
-    for design in _measured_variants(
-        datapath, inputs, delay_model_factory, assignments
-    ):
-        run = design.run
-        mean_out = design.mean_abs_out
-        mre_by_factor = []
-        for f in frequency_factors:
-            err = run.mean_abs_error(run.step_for_factor(f))
-            mre_by_factor.append(100.0 * err / mean_out if mean_out else 0.0)
-        speedups = []
-        for budget in budgets_percent:
-            limit = budget / 100.0 * mean_out
-            best = None
-            for step in range(run.error_free_step, 0, -1):
-                if run.mean_abs_error(step) <= limit:
-                    best = run.error_free_step / step - 1.0
-                else:
-                    break
-            speedups.append(best)
-        report[design.label] = {
-            "area": estimate_area(design.synthesized.circuit),
-            "rated_step": run.rated_step,
-            "error_free_step": run.error_free_step,
-            "mre_percent_by_factor": mre_by_factor,
-            "speedup_by_budget": speedups,
-        }
-    return report

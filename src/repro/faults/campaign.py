@@ -64,8 +64,8 @@ from repro.runners.results import (
 )
 from repro.sim.sweep import (
     OnlineMultiplierHarness,
+    SweepHarness,
     TraditionalMultiplierHarness,
-    _Harness,
     _sweep_circuit,
     sweep_shard_ports,
 )
@@ -164,7 +164,7 @@ class FaultCampaignResult:
 # --------------------------------------------------------------- worker side
 
 #: per-process faulted-harness memo, keyed by the full fault identity
-_FAULT_HARNESSES: Dict[Any, _Harness] = {}
+_FAULT_HARNESSES: Dict[Any, SweepHarness] = {}
 
 
 def campaign_harness(
@@ -173,7 +173,7 @@ def campaign_harness(
     backend: str,
     delay_model: DelayModel,
     fault_config: FaultConfig,
-) -> _Harness:
+) -> SweepHarness:
     """Build (and memoize per process) the faulted harness of one design.
 
     Drift composes onto the delay model; stuck-at faults rebuild the

@@ -33,7 +33,6 @@ MRE/SNR metrics and for writing the Fig. 7 images.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -205,9 +204,7 @@ class ConvolutionDatapath:
     """A complete 3x3 convolution datapath in one arithmetic style.
 
     Construct via :meth:`from_spec` (the uniform spec-driven spelling,
-    matching the sweep harnesses); the positional
-    ``ConvolutionDatapath(arithmetic, ...)`` signature is kept as a
-    deprecated shim.
+    matching the sweep harnesses) or one of the kernel presets.
 
     Parameters
     ----------
@@ -256,23 +253,12 @@ class ConvolutionDatapath:
         backend: str = "auto",
         config: Optional[RunConfig] = None,
         *,
-        _spec=None,
+        _spec,
     ) -> None:
         if config is not None:
             ndigits = config.ndigits
             backend = config.backend
-        if _spec is None:
-            warnings.warn(
-                "ConvolutionDatapath(arithmetic, ...) is deprecated; use "
-                "ConvolutionDatapath.from_spec('online-mult' | "
-                "'array-mult', ...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _spec = _style_spec(arithmetic)
         self.spec = _spec
-        if arithmetic not in ("online", "traditional"):
-            raise ValueError("arithmetic must be 'online' or 'traditional'")
         if ndigits < 8:
             raise ValueError("ndigits must be >= 8 to represent 8-bit pixels")
         kernel = np.asarray(kernel, dtype=np.int64)

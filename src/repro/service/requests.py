@@ -43,6 +43,7 @@ from repro.runners.config import RunConfig
 from repro.sim.montecarlo import default_depths, montecarlo_key_components
 from repro.sim.sweep import stage_sweep_key_components, stage_sweep_plan
 from repro.synth.demos import DEMO_DATAPATHS
+from repro.synth.search import AccuracyTarget
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -299,6 +300,10 @@ def parse_request(
         raise RequestError(
             f"target_{metric} must be a finite number, got {value!r}"
         )
+    try:
+        AccuracyTarget(metric, float(value))
+    except ValueError as exc:
+        raise RequestError(f"target_{metric}: {exc}") from None
     wordlengths = _int_list(params, "wordlengths", lo=1, hi=MAX_NDIGITS)
     periods = _float_list(params, "periods")
     norm = {

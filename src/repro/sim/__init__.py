@@ -23,10 +23,8 @@ tables (and runner statistics lines) the benchmarks print.
 from repro.sim.montecarlo import (
     uniform_digit_batch,
     default_depths,
-    mc_expected_error,
     run_montecarlo,
     run_settle_histogram,
-    settle_depth_histogram,
     MonteCarloResult,
 )
 from repro.sim.sweep import (
@@ -45,7 +43,6 @@ from repro.sim.error_profile import (
     DigitErrorProfile,
     digit_error_profile,
     online_digit_groups,
-    profile_circuit,
     run_error_profile,
     traditional_bit_groups,
 )
@@ -54,10 +51,8 @@ from repro.sim.reporting import format_run_stats, format_table, geomean
 __all__ = [
     "uniform_digit_batch",
     "default_depths",
-    "mc_expected_error",
     "run_montecarlo",
     "run_settle_histogram",
-    "settle_depth_histogram",
     "MonteCarloResult",
     "OnlineMultiplierHarness",
     "TraditionalMultiplierHarness",
@@ -72,7 +67,6 @@ __all__ = [
     "DigitErrorProfile",
     "digit_error_profile",
     "online_digit_groups",
-    "profile_circuit",
     "run_error_profile",
     "traditional_bit_groups",
     "format_run_stats",

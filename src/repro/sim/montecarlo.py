@@ -9,23 +9,17 @@ ticks.  :meth:`repro.core.OnlineMultiplier.wave` implements exactly that;
 this module wraps it with uniform-independent input generation and error
 statistics.
 
-Two generations of entry points coexist:
-
-* :func:`run_montecarlo` / :func:`run_settle_histogram` — the unified
-  :class:`~repro.runners.RunConfig` API: sharded across worker processes
-  with deterministic seed-splitting (``jobs=1`` and ``jobs=N`` merge
-  bit-identically) and served from the persistent result cache when one
-  is configured.
-* :func:`mc_expected_error` / :func:`settle_depth_histogram` — the
-  original single-process spellings, kept as thin deprecation shims.
-  Their sample stream (one monolithic RNG) intentionally differs from
-  the sharded scheme, because golden regression values are pinned to it
-  (``tests/integration/test_golden_mre.py``).
+:func:`run_montecarlo` and :func:`run_settle_histogram` take a
+:class:`~repro.runners.RunConfig`: they shard the sample budget across
+worker processes with deterministic seed-splitting (``jobs=1`` and
+``jobs=N`` merge bit-identically), and :func:`run_montecarlo` is served
+from the persistent result cache when one is configured.  Both spawn
+their shard seeds from the same ``"montecarlo"`` tag, so for equal
+``(seed, shard_size, num_samples)`` they see the same operand pairs.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
@@ -252,8 +246,7 @@ def run_montecarlo(
 ) -> MonteCarloResult:
     """Sharded Monte-Carlo ``E|eps|`` versus sampling depth.
 
-    The unified-API counterpart of :func:`mc_expected_error`: the sample
-    budget is split into ``config.shard_size`` shards with seeds spawned
+    The sample budget is split into ``config.shard_size`` shards with seeds spawned
     from ``config.seed``, shards run on ``config.jobs`` worker processes,
     and the per-shard exact partials merge in shard order — so the result
     depends on ``(seed, shard_size, num_samples)`` but never on ``jobs``
@@ -333,14 +326,24 @@ def run_settle_histogram(
 ) -> Dict[int, float]:
     """Sharded settling-depth histogram (``depth -> fraction of samples``).
 
-    Unified-API counterpart of :func:`settle_depth_histogram`; integer
+    The settling depth of one multiplication is the smallest ``b`` whose
+    sample equals the final product, i.e. one more than the longest chain
+    that input pair excites.  Its histogram is the empirical counterpart
+    of the model's chain-delay statistics (Fig. 5): most samples need
+    nearly the maximal ``(N + 2*delta)/2`` chain depth, because long
+    chains overlap in the OM while their error contribution stays
+    negligible.
+
+    The operands are those :func:`run_montecarlo` draws for the same
+    config and sample count (shared seed tag), so the tail
+    ``P(depth > b)`` bounds its violation curve pointwise.  Integer
     per-shard counts merge exactly, so the histogram is independent of
-    ``config.jobs``.  Returns a plain dict (not cached — recomputation is
+    ``config.jobs``.  Returns a plain dict (not cached: recomputation is
     cheap and the dict is not a :class:`~repro.runners.results.Result`).
     """
     engine = resolve_backend(config.backend)
     sizes = split_samples(num_samples, config.shard_size)
-    seeds = spawn_seeds(config.seed, len(sizes), seed_tag("settle"))
+    seeds = spawn_seeds(config.seed, len(sizes), seed_tag("montecarlo"))
     payloads = [
         {
             "ndigits": config.ndigits,
@@ -368,114 +371,3 @@ def run_settle_histogram(
     return {
         depth: counts[depth] / num_samples for depth in sorted(counts)
     }
-
-
-# ------------------------------------------------------- deprecated shims
-
-def settle_depth_histogram(
-    ndigits: int,
-    num_samples: int = 20000,
-    seed: int = 2014,
-    delta: int = 3,
-    backend: str = "auto",
-) -> dict:
-    """Empirical distribution of per-sample settling depths.
-
-    .. deprecated::
-        Use :func:`run_settle_histogram` with a
-        :class:`~repro.runners.RunConfig` instead.  This shim keeps the
-        original single-RNG sample stream for backward compatibility.
-
-    The settling depth of one multiplication is the smallest ``b`` whose
-    sample equals the final product — i.e. one more than the longest chain
-    that particular input pair excites.  Its histogram is the empirical
-    counterpart of the model's chain-delay statistics (Fig. 5): most
-    samples need nearly the maximal ``(N + 2*delta)/2`` chain depth, which
-    is the paper's observation that long chains are *common* in the OM
-    (they overlap), while their error contribution stays negligible.
-
-    Returns a mapping ``depth -> fraction of samples``.
-    """
-    warnings.warn(
-        "settle_depth_histogram(ndigits, ..., seed=, backend=) is "
-        "deprecated; use run_settle_histogram(RunConfig(ndigits=..., "
-        "seed=..., backend=...), num_samples=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    om = OnlineMultiplier(ndigits, delta)
-    rng = np.random.default_rng(seed)
-    xd = uniform_digit_batch(ndigits, num_samples, rng)
-    yd = uniform_digit_batch(ndigits, num_samples, rng)
-    depth = _settle_depths(om, xd, yd, backend)
-    values, counts = np.unique(depth, return_counts=True)
-    return {int(v): float(cnt) / num_samples for v, cnt in zip(values, counts)}
-
-
-def mc_expected_error(
-    ndigits: int,
-    num_samples: int = 20000,
-    seed: int = 2014,
-    delta: int = 3,
-    depths: Optional[List[int]] = None,
-    backend: str = "auto",
-) -> MonteCarloResult:
-    """Monte-Carlo ``E|eps|`` versus sampling depth for an ``N``-digit OM.
-
-    .. deprecated::
-        Use :func:`run_montecarlo` with a
-        :class:`~repro.runners.RunConfig` instead.  This shim keeps the
-        original monolithic-RNG sample stream because golden regression
-        constants are pinned to it; the sharded path draws a different
-        (equally valid) stream.
-
-    Parameters
-    ----------
-    ndigits:
-        Operand word length ``N``.
-    num_samples:
-        Number of uniform-independent operand pairs.
-    depths:
-        Sampling depths ``b`` to report (default: ``delta+1 .. N+delta``).
-    backend:
-        Wave-evaluation engine (default ``"auto"``, i.e. vector); all
-        engines are bit-identical (``tests/sim/test_determinism.py``), so
-        every statistic is backend-independent.
-    """
-    warnings.warn(
-        "mc_expected_error(ndigits, ..., seed=, backend=) is deprecated; "
-        "use run_montecarlo(RunConfig(ndigits=..., seed=..., "
-        "backend=...), num_samples=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    om = OnlineMultiplier(ndigits, delta)
-    rng = np.random.default_rng(seed)
-    xd = uniform_digit_batch(ndigits, num_samples, rng)
-    yd = uniform_digit_batch(ndigits, num_samples, rng)
-
-    waves = om.wave(xd, yd, backend=backend)  # (ticks+1, N, S)
-    final = waves[-1]
-    correct = digits_to_scaled_int(final).astype(np.float64)
-
-    if depths is None:
-        depths = list(range(delta + 1, om.num_stages + 1))
-    depths_arr = np.asarray(sorted(depths), dtype=np.int64)
-
-    scale = float(2**ndigits)
-    mean_err = np.empty(len(depths_arr))
-    p_viol = np.empty(len(depths_arr))
-    for i, b in enumerate(depths_arr):
-        b_clamped = min(int(b), waves.shape[0] - 1)
-        sampled = digits_to_scaled_int(waves[b_clamped]).astype(np.float64)
-        err = np.abs(sampled - correct) / scale
-        mean_err[i] = float(err.mean())
-        p_viol[i] = float((err > 0).mean())
-    return MonteCarloResult(
-        ndigits=ndigits,
-        delta=delta,
-        num_samples=num_samples,
-        depths=depths_arr,
-        mean_abs_error=mean_err,
-        violation_probability=p_viol,
-    )

@@ -37,7 +37,6 @@ sweep, never a digit of it (``tests/vec/test_fused_conformance.py``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Optional
 
@@ -159,9 +158,7 @@ class SweepResult:
         normalize against).
 
         ``strict=True`` turns the never-met None into a ValueError, for
-        callers that feed the gain straight into arithmetic (the
-        ``DesignChoice``-era idiom assumed a float and crashed later
-        with a TypeError far from the cause).
+        callers that feed the gain straight into arithmetic.
         """
         best: Optional[float] = None
         if budget >= 0 and self.error_free_step > 0:
@@ -333,10 +330,6 @@ def _sweep_from_partials(
     )
 
 
-#: historical private name, kept for downstream callers of the PR-4 API
-_Harness = SweepHarness
-
-
 def _harness_spec(spec, kind: str, style: Optional[str] = None):
     """Resolve *spec* (registry name or OperatorSpec) for a harness.
 
@@ -368,9 +361,7 @@ def _harness_spec(spec, kind: str, style: Optional[str] = None):
 class OnlineMultiplierHarness(SweepHarness):
     """Gate-level online multiplier under overclocking.
 
-    Construct via :meth:`from_spec` (the uniform spec-driven spelling);
-    the positional ``OnlineMultiplierHarness(ndigits, ...)`` signature
-    is kept as a deprecated shim.
+    Construct via :meth:`from_spec`.
     """
 
     def __init__(
@@ -379,17 +370,8 @@ class OnlineMultiplierHarness(SweepHarness):
         delay_model: Optional[DelayModel] = None,
         backend: str = "auto",
         *,
-        _spec=None,
+        _spec,
     ) -> None:
-        if _spec is None:
-            warnings.warn(
-                "OnlineMultiplierHarness(ndigits, ...) is deprecated; use "
-                "OnlineMultiplierHarness.from_spec('online-mult', "
-                "ndigits=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _spec = _harness_spec("online-mult", kind="mul", style="online")
         self.spec = _spec
         self.ndigits = ndigits
         super().__init__(_spec.build(ndigits), delay_model, backend)
@@ -441,9 +423,7 @@ class OnlineMultiplierHarness(SweepHarness):
 class TraditionalMultiplierHarness(SweepHarness):
     """Gate-level two's-complement array multiplier under overclocking.
 
-    Construct via :meth:`from_spec` (the uniform spec-driven spelling);
-    the positional ``TraditionalMultiplierHarness(width, ...)`` signature
-    is kept as a deprecated shim.
+    Construct via :meth:`from_spec`.
     """
 
     def __init__(
@@ -452,19 +432,8 @@ class TraditionalMultiplierHarness(SweepHarness):
         delay_model: Optional[DelayModel] = None,
         backend: str = "auto",
         *,
-        _spec=None,
+        _spec,
     ) -> None:
-        if _spec is None:
-            warnings.warn(
-                "TraditionalMultiplierHarness(width, ...) is deprecated; "
-                "use TraditionalMultiplierHarness.from_spec('array-mult', "
-                "width=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _spec = _harness_spec(
-                "array-mult", kind="mul", style="traditional"
-            )
         self.spec = _spec
         self.width = width
         super().__init__(

@@ -103,8 +103,8 @@ class AccuracyTarget:
     """Accuracy bound for the search.
 
     ``metric="mre"`` bounds the mean relative error (percent, from
-    above); ``metric="snr"`` bounds the signal-to-noise ratio (dB, from
-    below).
+    above, so it cannot be negative); ``metric="snr"`` bounds the
+    signal-to-noise ratio (dB, from below).  The value must be finite.
     """
 
     metric: str
@@ -114,6 +114,14 @@ class AccuracyTarget:
         if self.metric not in ("mre", "snr"):
             raise ValueError(
                 f"target metric must be 'mre' or 'snr', got {self.metric!r}"
+            )
+        if not math.isfinite(self.value):
+            raise ValueError(
+                f"target value must be finite, got {self.value!r}"
+            )
+        if self.metric == "mre" and self.value < 0:
+            raise ValueError(
+                f"an mre target cannot be negative, got {self.value!r}"
             )
 
 

@@ -28,7 +28,7 @@ def runs(small_image):
 
 
 class TestFromSpec:
-    """Spec-driven construction and the deprecated positional shim."""
+    """Spec-driven construction and the kernel presets."""
 
     def test_from_spec_picks_arithmetic_from_style(self):
         import warnings
@@ -53,12 +53,6 @@ class TestFromSpec:
         with pytest.raises(ValueError):
             ConvolutionDatapath.from_spec("online-add", ndigits=8)
 
-    def test_positional_constructor_warns(self):
-        from repro.imaging.filters import ConvolutionDatapath
-
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            ConvolutionDatapath("online", ndigits=8, delay_model=UnitDelay())
-
     def test_preset_subclasses_stay_silent(self):
         import warnings
 
@@ -68,10 +62,8 @@ class TestFromSpec:
         assert dp.spec.name == "online-mult"
 
     def test_unknown_arithmetic_rejected(self):
-        from repro.imaging.filters import ConvolutionDatapath
-
         with pytest.raises(ValueError, match="arithmetic"):
-            ConvolutionDatapath("ternary", ndigits=8)
+            GaussianFilterDatapath("ternary", ndigits=8)
 
 
 class TestKernelAndReference:

@@ -1,35 +1,36 @@
 """Golden-value pinning of the N=8 Monte-Carlo error curve.
 
-``mc_expected_error`` is fully deterministic given its seed, and the two
-simulation backends are bit-identical, so the mean-absolute-error at any
-sampling depth is a *constant* of the repository.  Pinning three depths
-to stored values turns any silent numerical drift — a kernel change, an
-ops-provider change, a packing bug — into a loud test failure.
+``run_montecarlo`` is fully deterministic given its seed and shard size,
+and the simulation engines are bit-identical, so the mean-absolute-error
+at any sampling depth is a *constant* of the repository.  Pinning three
+depths to stored values turns any silent numerical drift — a kernel
+change, an ops-provider change, a packing bug, a change to the shard
+seed stream — into a loud test failure.
 
-The constants were produced by the seed-2014, 20000-sample run the CLI
-``model`` command uses by default (Fig. 4 top, N=8, delta=3).
+The constants are what ``repro model`` prints by default: the seed-2014,
+20000-sample run (Fig. 4 top, N=8, delta=3, default shard size).
 """
 
 import numpy as np
 import pytest
 
-from repro.sim.montecarlo import mc_expected_error
+from repro.runners import RunConfig
+from repro.sim.montecarlo import run_montecarlo
 
 #: depth b -> (E|eps|, P(violation)) for N=8, delta=3, seed=2014, S=20000
 GOLDEN = {
-    4: (0.154214453125, 0.98525),
-    5: (0.039919921875, 0.9476),
-    6: (0.0098267578125, 0.8216),
+    4: (0.1548701171875, 0.986),
+    5: (0.039287109375, 0.94795),
+    6: (0.009794921875, 0.8221),
 }
 
 TOL = 1e-12
 
 
-@pytest.fixture(scope="module", params=["packed", "wave"])
+@pytest.fixture(scope="module", params=["packed", "wave", "vector"])
 def mc(request):
-    return mc_expected_error(
-        8, num_samples=20000, seed=2014, backend=request.param
-    )
+    config = RunConfig(ndigits=8, seed=2014, backend=request.param)
+    return run_montecarlo(config, num_samples=20000)
 
 
 @pytest.mark.parametrize("depth", sorted(GOLDEN))

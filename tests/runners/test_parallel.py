@@ -1,4 +1,4 @@
-"""ParallelRunner: determinism across jobs, crash fallback, shims.
+"""ParallelRunner: determinism across jobs and crash fallback.
 
 The two load-bearing guarantees of the orchestration layer:
 
@@ -23,14 +23,8 @@ from repro.runners import (
     spawn_seeds,
 )
 from repro.sim.error_profile import run_error_profile
-from repro.sim.montecarlo import (
-    mc_expected_error,
-    run_montecarlo,
-    run_settle_histogram,
-    settle_depth_histogram,
-    uniform_digit_batch,
-)
-from repro.sim.sweep import OnlineMultiplierHarness, run_sweep
+from repro.sim.montecarlo import run_montecarlo, run_settle_histogram
+from repro.sim.sweep import run_sweep
 
 
 class TestSplitSamples:
@@ -553,35 +547,6 @@ class TestFailurePathTelemetry:
 
 
 class TestDeprecationShims:
-    def test_mc_expected_error_warns_but_matches_golden_path(self):
-        with pytest.warns(DeprecationWarning):
-            result = mc_expected_error(4, num_samples=100, seed=2014)
-        assert result.num_samples == 100
-
-    def test_settle_depth_histogram_warns(self):
-        with pytest.warns(DeprecationWarning):
-            histogram = settle_depth_histogram(4, num_samples=100)
-        assert sum(histogram.values()) == pytest.approx(1.0)
-
-    def test_profile_circuit_warns(self):
-        from repro.sim.error_profile import profile_circuit
-
-        rng = np.random.default_rng(0)
-        harness = OnlineMultiplierHarness(2)
-        ports = harness.encode(
-            uniform_digit_batch(2, 4, rng), uniform_digit_batch(2, 4, rng)
-        )
-        with pytest.warns(DeprecationWarning):
-            profile = profile_circuit(
-                harness.circuit,
-                ports,
-                [["zp0", "zn0"]],
-                ["z0"],
-                [1, 2],
-                delay_model=harness.delay_model,
-            )
-        assert profile.rates.shape == (2, 1)
-
     def test_new_api_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

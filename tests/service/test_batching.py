@@ -286,9 +286,10 @@ class TestCompatibilityBoundaries:
 
 class TestFailureSplitting:
     def test_degraded_fused_run_answers_members_exactly(self):
-        # a real pool fault: both pools the runner tries time out, so
-        # the fused run finishes inline — exact, but a pool failure
-        healthy = BASE.with_(shard_size=500)
+        # a real pool fault: both pools the runner tries time out (one
+        # 8-digit 5000-sample shard takes several ms), so the fused run
+        # finishes inline — exact, but a pool failure
+        healthy = BASE.with_(ndigits=8, shard_size=5000)
         faulty = healthy.with_(jobs=2, shard_timeout=0.001)
         config = service_config(
             run_config=faulty, failure_threshold=1, reset_timeout=60.0
@@ -305,9 +306,9 @@ class TestFailureSplitting:
 
         async def main():
             service, client = await started(config, evaluator=evaluator)
-            fused = await pair(client, 1000)
+            fused = await pair(client, 10000)
             state = service.breaker.state
-            later = await pair(client, 1001)
+            later = await pair(client, 10001)
             await finish(service, client)
             return fused, state, later
 
@@ -318,7 +319,7 @@ class TestFailureSplitting:
             solo = evaluate_request(
                 parse_request(
                     {"kind": "montecarlo",
-                     "params": {"samples": 1000, "depths": grid}},
+                     "params": {"samples": 10000, "depths": grid}},
                     base_config=healthy,
                 ),
                 CancelToken(),

@@ -29,9 +29,13 @@ from repro.synth.search import REF_FRAC
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, shard_size=500, cache_dir=None)
 
-#: a real pool fault: every 500-sample shard overruns a 1 ms budget, so
-#: the runner loses each pool it tries and finishes the run inline
-TIMEOUT_FAULT = BASE.with_(jobs=2, shard_timeout=0.001)
+#: a real pool fault: the kernel of one 8-digit 5000-sample shard alone
+#: takes several milliseconds, so every shard overruns a 1 ms budget, the
+#: runner loses each pool it tries and finishes the run inline
+SLOW = BASE.with_(ndigits=8, shard_size=5000)
+TIMEOUT_FAULT = SLOW.with_(jobs=2, shard_timeout=0.001)
+#: samples of one faulted request: two full shards
+FAULT_SAMPLES = 10000
 TIMEOUT_REASON = "shard exceeded shard_timeout=0.001s"
 
 #: a real deterministic evaluator error: parse accepts wordlengths up to
@@ -74,10 +78,10 @@ def counted():
     return evaluate, calls
 
 
-def solo(params):
+def solo(params, base=BASE):
     """The unfaulted answer to one montecarlo request, as the wire has it."""
     req = parse_request(
-        {"kind": "montecarlo", "params": params}, base_config=BASE
+        {"kind": "montecarlo", "params": params}, base_config=base
     )
     return json.loads(json.dumps(evaluate_request(req, CancelToken())))
 
@@ -300,7 +304,9 @@ class TestBreakerAndDegradation:
         metrics().reset()
         evaluator, calls = counted()
         config = service_config(run_config=TIMEOUT_FAULT, reset_timeout=60.0)
-        params = [{"samples": 1000 + i, "depths": [2, 4]} for i in range(3)]
+        params = [
+            {"samples": FAULT_SAMPLES + i, "depths": [2, 4]} for i in range(3)
+        ]
 
         async def main():
             service, client = await started(config, evaluator)
@@ -315,7 +321,7 @@ class TestBreakerAndDegradation:
         # the first failure_threshold answers are exact, finished inline
         for resp, p in ((first, params[0]), (second, params[1])):
             assert "degraded" not in resp
-            assert resp["result"] == solo(p)
+            assert resp["result"] == solo(p, SLOW)
         assert breaker.state == "open"
         assert breaker.last_failure == TIMEOUT_REASON
         assert third["ok"] is True and third["degraded"] is True
@@ -332,7 +338,7 @@ class TestBreakerAndDegradation:
             )
             for i in range(2):
                 r = await client.request(
-                    "montecarlo", {"samples": 1000 + i, "depths": [4]}
+                    "montecarlo", {"samples": FAULT_SAMPLES + i, "depths": [4]}
                 )
                 assert r["ok"] and "degraded" not in r
             assert service.breaker.state == "open"
@@ -362,7 +368,7 @@ class TestBreakerAndDegradation:
                 service_config(run_config=TIMEOUT_FAULT, failure_threshold=1)
             )
             first = await client.request(
-                "montecarlo", {"samples": 1000, "depths": [4]}
+                "montecarlo", {"samples": FAULT_SAMPLES, "depths": [4]}
             )
             opened = service.breaker.state
             service.config = dataclasses.replace(
@@ -393,10 +399,10 @@ class TestBreakerAndDegradation:
         async def main():
             service, client = await started(config)
             first = await client.request(
-                "montecarlo", {"samples": 1000, "depths": [4, 6]}
+                "montecarlo", {"samples": FAULT_SAMPLES, "depths": [4, 6]}
             )
             r = await client.request(
-                "montecarlo", {"samples": 1001, "depths": [4, 6]}
+                "montecarlo", {"samples": FAULT_SAMPLES + 1, "depths": [4, 6]}
             )
             await finish(service, client)
             return first, r

@@ -138,6 +138,8 @@ class TestValidation:
             {"kind": "montecarlo", "params": {"ndigits": 0}},
             {"kind": "montecarlo", "deadline": 0},
             {"kind": "montecarlo", "deadline": -1.0},
+            {"kind": "montecarlo", "deadline": math.nan},
+            {"kind": "montecarlo", "deadline": math.inf},
             {"kind": "montecarlo", "params": "nope"},
             {"kind": "sweep", "params": {"periods": [0.0]}},
             {"kind": "montecarlo", "params": {"ndigits": MAX_NDIGITS + 1}},
@@ -145,6 +147,8 @@ class TestValidation:
             {"kind": "synthesis", "params": {"wordlengths": [4, -1]}},
             {"kind": "synthesis",
              "params": {"wordlengths": [MAX_NDIGITS + 1]}},
+            {"kind": "synthesis", "params": {"target_mre": -1}},
+            {"kind": "synthesis", "params": {"target_mre": math.nan}},
         ],
     )
     def test_rejected(self, message):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.model import OverclockingErrorModel
-from repro.sim.montecarlo import mc_expected_error, settle_depth_histogram
+from repro.runners import RunConfig
+from repro.sim.montecarlo import run_montecarlo, run_settle_histogram
 
 
 @pytest.fixture(scope="module")
 def hist8():
-    return settle_depth_histogram(8, num_samples=6000, seed=5)
+    return run_settle_histogram(RunConfig(ndigits=8, seed=5), num_samples=6000)
 
 
 class TestSettleDepthHistogram:
@@ -32,8 +33,9 @@ class TestSettleDepthHistogram:
         """P(depth > b) upper-bounds the pointwise MC violation rate (a
         sample may transiently coincide with its final value, so settling
         is not per-sample monotone), and the two agree at the deepest
-        violating depth."""
-        mc = mc_expected_error(8, num_samples=6000, seed=5)
+        violating depth.  Both entry points draw the same operands for
+        one config and sample count."""
+        mc = run_montecarlo(RunConfig(ndigits=8, seed=5), num_samples=6000)
         last_violating = None
         for i, b in enumerate(mc.depths):
             tail = sum(v for d, v in hist8.items() if d > int(b))
@@ -50,7 +52,7 @@ class TestSettleDepthHistogram:
 
 class TestCalibration:
     def test_fit_improves_agreement(self):
-        mc = mc_expected_error(8, num_samples=6000, seed=7)
+        mc = run_montecarlo(RunConfig(ndigits=8, seed=7), num_samples=6000)
         model = OverclockingErrorModel(8)
         fitted = model.calibrated(
             [int(b) for b in mc.depths], mc.mean_abs_error

@@ -6,7 +6,6 @@ import pytest
 from repro.runners.config import RunConfig
 from repro.sim.montecarlo import (
     MonteCarloResult,
-    mc_expected_error,
     run_montecarlo,
     uniform_digit_batch,
 )
@@ -79,15 +78,3 @@ class TestRunMontecarlo:
         err, _ = result.at_depth(8)
         assert err < 0.05
 
-
-class TestDeprecatedShim:
-    def test_mc_expected_error_warns_and_still_works(self):
-        # the shim deliberately keeps the legacy monolithic-RNG stream
-        # (golden constants are pinned to it), so only shape — not the
-        # drawn samples — matches the sharded run_montecarlo path
-        with pytest.warns(DeprecationWarning):
-            legacy = mc_expected_error(6, num_samples=500, seed=5)
-        config = RunConfig(ndigits=6, seed=5, jobs=1, cache_dir=None)
-        modern = run_montecarlo(config, num_samples=500)
-        assert np.array_equal(modern.depths, legacy.depths)
-        assert legacy.mean_abs_error.shape == modern.mean_abs_error.shape

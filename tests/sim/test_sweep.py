@@ -268,7 +268,7 @@ class TestSpeedupStrictMode:
 
 
 class TestFromSpec:
-    """The spec-driven constructors and their deprecation shims."""
+    """The spec-driven constructors."""
 
     def test_online_from_spec_no_warning(self):
         import warnings
@@ -293,16 +293,6 @@ class TestFromSpec:
             TraditionalMultiplierHarness.from_spec(
                 "array-mult", width=5, ndigits=4
             )
-
-    def test_old_constructors_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            old = OnlineMultiplierHarness(4, UnitDelay())
-        new = OnlineMultiplierHarness.from_spec(
-            "online-mult", ndigits=4, delay_model=UnitDelay()
-        )
-        assert old.rated_step == new.rated_step
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            TraditionalMultiplierHarness(5, UnitDelay())
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="'mul'"):

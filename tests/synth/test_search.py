@@ -86,6 +86,24 @@ class TestEnumeration:
     def test_target_validation(self):
         with pytest.raises(ValueError, match="mre"):
             AccuracyTarget("rmse", 1.0)
+        # the bounds themselves stay legal: an exact (zero-error) target
+        # and a negative SNR floor
+        assert AccuracyTarget("mre", 0.0).value == 0.0
+        assert AccuracyTarget("snr", -3.0).value == -3.0
+
+    @pytest.mark.parametrize(
+        "metric, value",
+        [
+            ("mre", -1.0),
+            ("mre", float("nan")),
+            ("mre", float("inf")),
+            ("snr", float("nan")),
+            ("snr", float("-inf")),
+        ],
+    )
+    def test_target_value_validation(self, metric, value):
+        with pytest.raises(ValueError, match="target"):
+            AccuracyTarget(metric, value)
 
     def test_operatorless_datapath_rejected(self):
         dp = Datapath(ndigits=N)
